@@ -2,14 +2,14 @@
 """Stress the exact bound against seeded random attacks.
 
 Every attack restricted to e_b, alpha <= 1/2 must satisfy
-e_p <= exact_bound(e_b, alpha) (uncapped value); reports the worst
+e_p <= exact_ep(e_b, alpha, capped=False); reports the worst
 relative slack seen and any violations.
 """
 
 import argparse
 import time
 
-from qkd3 import exact_bound, random_attack, rates_from_ensemble
+from qkd3 import exact_ep, random_attack, rates_from_ensemble
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
     worst_at = None
     for seed in range(args.seed0, args.seed0 + args.attacks):
         r = rates_from_ensemble([random_attack(seed, region=True)])
-        bound = exact_bound(r.e_b, r.alpha).ep_uncapped
+        bound = exact_ep(r.e_b, r.alpha, capped=False)
         rel = (r.e_p - bound) / max(bound, 1e-300)
         if rel > worst:
             worst, worst_at = rel, (seed, r.e_b, r.alpha, r.e_p, bound)

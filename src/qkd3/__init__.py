@@ -32,6 +32,7 @@ from .epbound import (
     approx_bound,
     az_branch,
     exact_bound,
+    exact_ep,
     simple_bound,
 )
 from .errors import (

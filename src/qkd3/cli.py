@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 parse error, 3 domain error, 4 simulation error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .attack import KrausCoefficients
 from .decoy import GYS, channel_observables, load_channel_params, optimal_mu, phase_error_for
-from .epbound import approx_bound, exact_bound, simple_bound
+from .epbound import approx_bound, exact_bound, exact_ep, simple_bound
 from .errors import DomainError, InsufficientSiftError, SamplingError
 from .keyrate import tolerable_eb
 from .simulate import SimConfig, azuma_check, run_protocol
@@ -54,6 +53,8 @@ def _emit(text: str, args: argparse.Namespace) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
+    import hashlib  # only manifests need it; keeps OpenSSL out of plain runs
+
     out = Path(args.out)
     out.write_text(text)
     params = {
@@ -93,7 +94,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     ebs = [args.eb_max * i / (args.steps - 1) for i in range(args.steps)]
 
     def row(e: float) -> str:
-        ex = exact_bound(e, e).ep_max
+        ex = exact_ep(e, e)
         ap = approx_bound(e, e, capped=False)
         sb = simple_bound(e, e)
         return ",".join(_fmt(v) for v in (e, ex, ap, sb))

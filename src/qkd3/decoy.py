@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .epbound import exact_bound
+from .epbound import exact_ep
 from .errors import DomainError, NoSecureDistanceError
 from .keyrate import binary_entropy
 
@@ -130,7 +130,7 @@ def phase_error_for(obs: DecoyObservables, protocol: str) -> float:
             raise DomainError(f"e1={obs.e1} exceeds the bound domain")
         # Misalignment hits the data and check states identically here,
         # so the bound is evaluated at alpha = e_b = e1.
-        return exact_bound(obs.e1, obs.e1).ep_max
+        return exact_ep(obs.e1, obs.e1)
     raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
 
 
@@ -159,7 +159,7 @@ def _rate_vs_mu(params: ChannelParams, L_km: float, protocol: str):
     if protocol == "three-state":
         if e1 > 0.5:
             return lambda mu: -math.inf
-        ep = exact_bound(e1, e1).ep_max
+        ep = exact_ep(e1, e1)
     elif protocol == "bb84":
         ep = e1
     else:

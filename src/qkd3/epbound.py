@@ -12,8 +12,9 @@ subject to
 after aligning a_I with a_X and a_Z with i*a_Y, which only increases the
 objective.  Eliminating |a_I| and |a_X| leaves a quartic in |a_Z| whose
 relevant root is `az_branch`; the remaining 1-D maximization over |a_Y|
-is `exact_bound`.  `approx_bound` is the closed form obtained from an
-analytic upper bound on |a_Z|, and `simple_bound` its small-rate
+is `exact_bound`, which also returns an attack attaining the bound, and
+`exact_ep`, its value alone.  `approx_bound` is the closed form obtained
+from an analytic upper bound on |a_Z|, and `simple_bound` its small-rate
 simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
@@ -36,6 +37,14 @@ _AY_TOL = 1e-9  # golden-section |a_Y| tolerance
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 EP_CAP = 0.5
+
+# The |a_Y| scan grid and the grid terms every scan reuses; computed once
+# here, they give the same bits as computing them per scan.
+_AY = np.linspace(0.0, 1.0, _SCAN_POINTS)
+_AY.flags.writeable = False  # _scan hands it to its callers
+_AY2 = _AY * _AY
+_ONE_MINUS_AY2 = 1.0 - _AY2
+_TWO_AY = 2.0 * _AY
 
 
 @dataclass(frozen=True)
@@ -111,20 +120,19 @@ def _objective(ay: float, hats: HatParams, e_b: float) -> float:
 
 def _scan(hats: HatParams, e_b: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized objective over the |a_Y| grid (-inf marks infeasible)."""
-    ay = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    s = np.sqrt(np.maximum(hats.alpha_hat * (1.0 - ay * ay), 0.0))
+    s = np.sqrt(np.maximum(hats.alpha_hat * _ONE_MINUS_AY2, 0.0))
     r = (
         hats.eb_hat * (1.0 + hats.alpha_hat)
         - 1.0
-        - ay * ay * (hats.alpha_hat - 1.0)
-        - 2.0 * ay * s
+        - _AY2 * (hats.alpha_hat - 1.0)
+        - _TWO_AY * s
     )
-    z = (hats.alpha_hat * ay + s + np.sqrt(np.maximum(r, 0.0))) / (
+    z = (hats.alpha_hat * _AY + s + np.sqrt(np.maximum(r, 0.0))) / (
         1.0 + hats.alpha_hat
     )
     feasible = (r >= 0.0) & (z * z <= hats.eb_hat)
-    obj = np.where(feasible, (z * z + ay * ay) * e_b, -np.inf)
-    return ay, obj
+    obj = np.where(feasible, (z * z + _AY2) * e_b, -np.inf)
+    return _AY, obj
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -233,18 +241,12 @@ def _limiting_case(e_b: float, alpha: float) -> BoundResult:
     return BoundResult(ep, ay, w, "limiting", 2.0 * e_b)
 
 
-def exact_bound(e_b: float, alpha: float) -> BoundResult:
-    """Tight phase-error bound by 1-D maximization over |a_Y|.
+def _maximize(e_b: float, alpha: float) -> tuple[float, float, HatParams]:
+    """Uncapped maximum of the objective, the |a_Y| attaining it, and the hats.
 
-    Scans the feasible |a_Y| grid, refines with golden section, and caps
-    the result at 1/2.  When the cap binds, ay_star/witness are replaced
-    by an attack with e_p exactly 1/2 so that the witness still
-    reproduces (e_b, alpha, ep_max).
+    Scans the feasible |a_Y| grid and refines with golden section.  Needs
+    e_b and alpha in (0, 1/2].
     """
-    _check_domain(e_b, alpha)
-    if e_b == 0.0 or alpha == 0.0:
-        return _limiting_case(e_b, alpha)
-
     hats = HatParams.from_rates(e_b, alpha)
     ay, obj = _scan(hats, e_b)
     if not np.isfinite(obj).any():
@@ -259,20 +261,56 @@ def exact_bound(e_b: float, alpha: float) -> BoundResult:
     )
     if obj[i] > val:
         ay_star, val = float(ay[i]), float(obj[i])
+    return val, ay_star, hats
 
+
+def exact_bound(e_b: float, alpha: float) -> BoundResult:
+    """Tight phase-error bound by 1-D maximization over |a_Y|.
+
+    Scans the feasible |a_Y| grid, refines with golden section, and caps
+    the result at 1/2.  When the cap binds, ay_star/witness are replaced
+    by an attack with e_p exactly 1/2 so that the witness still
+    reproduces (e_b, alpha, ep_max).  Callers that need only the value
+    should use `exact_ep`, which skips the witness.
+    """
+    _check_domain(e_b, alpha)
+    if e_b == 0.0 or alpha == 0.0:
+        return _limiting_case(e_b, alpha)
+
+    val, ay_star, hats = _maximize(e_b, alpha)
     if val <= EP_CAP:
         return BoundResult(
             val, ay_star, _witness_from_ay(ay_star, hats), "exact", val
         )
     capped = _capped_witness(hats)
     if capped is None:
-        # Not reachable for any tested (e_b, alpha); keep the maximizer
-        # as witness (its e_p then exceeds the reported cap).
+        # Reached when the 2001-point grid in _capped_witness finds no
+        # feasible |a_Y|: for e_b > 1/4 with alpha below about 1e-8 to
+        # 3e-8 (e.g. at (0.3, 1e-8); 53 of the 2704 points of a 52x52 log
+        # grid over [1e-15, 1/2]^2), and now and then just above the cap
+        # elsewhere (e.g. at (0.2407, 6.9e-4)).  The maximizer is kept as
+        # witness, so its e_p is ep_uncapped, not the reported cap.
         return BoundResult(
             EP_CAP, ay_star, _witness_from_ay(ay_star, hats), "exact", val
         )
     y_cap, witness = capped
     return BoundResult(EP_CAP, y_cap, witness, "exact", val)
+
+
+def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
+    """Value of `exact_bound` without the witness.
+
+    Equals exact_bound(e_b, alpha).ep_max, or .ep_uncapped with
+    ``capped=False``; for sweeps that read only the value.
+    """
+    _check_domain(e_b, alpha)
+    if e_b == 0.0 or alpha == 0.0:
+        # _limiting_case's uncapped values: e_p = alpha on e_b = 0,
+        # e_p = 2*e_b on alpha = 0.
+        val = alpha if e_b == 0.0 else 2.0 * e_b
+    else:
+        val = _maximize(e_b, alpha)[0]
+    return min(val, EP_CAP) if capped else val
 
 
 def approx_bound(e_b: float, alpha: float, capped: bool = True) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epbound import EP_CAP, approx_bound, exact_bound, simple_bound
+from .epbound import EP_CAP, approx_bound, exact_ep, simple_bound
 from .errors import DomainError
 
 _ROOT_TOL = 1e-6
@@ -39,7 +39,7 @@ def binary_entropy(x: float) -> float:
 
 def _bound(e_b: float, alpha: float, method: str) -> float:
     if method == "exact":
-        return exact_bound(e_b, alpha).ep_max
+        return exact_ep(e_b, alpha)
     if method == "approximate":
         return approx_bound(e_b, alpha)
     if method == "simple":

@@ -22,6 +22,7 @@ from qkd3 import (
     channel_observables,
     combine_pair,
     exact_bound,
+    exact_ep,
     key_rate_decoy,
     key_rate_single_photon,
     optimal_mu,
@@ -99,7 +100,7 @@ def test_soundness_100k_random_attacks():
     worst_rel = -math.inf
     for seed in range(n):
         r = rates_from_ensemble([random_attack(seed, region=True)])
-        bound = exact_bound(r.e_b, r.alpha).ep_uncapped
+        bound = exact_ep(r.e_b, r.alpha, capped=False)
         rel = (r.e_p - bound) / max(bound, 1e-300)
         worst_rel = max(worst_rel, rel)
         if rel > 1e-9:

@@ -175,6 +175,30 @@ class TestSimulate:
         assert "simulation error" in err
 
 
+class TestOutputPinned:
+    """stdout of a fixed command set is pinned byte for byte (sha256), so
+    refactors of the bound, key-rate and decoy code cannot drift output."""
+
+    PINNED = {
+        ("bound", "--eb", "0.05", "--alpha", "0.05"):
+            "b7cec7e1ac566b676b8591dc5fdd4f364a8e63d30e8fa0600b621e3c5432fca0",
+        ("bound", "--eb", "0.3", "--alpha", "0.3"):
+            "0e1ea8d860609b7b9ec0fd597462c91ca2278050d472761869c33848b36ca07c",
+        ("fig1",):
+            "c6ddb85c4cf55595b95a8fc7a3bfbc55af884f2ddc011bb398982ad48870c338",
+        ("region", "--method", "exact"):
+            "a8837aaf73a8d70a19d487c8807d74ef236d115ddc76b11fe4b4759c0664c130",
+        ("decoy", "--protocol", "three-state"):
+            "c748ebcb65efc470c38730d7255f2648133ca074052dbec3adb95f937fcc1f83",
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+    def test_stdout_sha256(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[argv]
+
+
 class TestManifest:
     def test_manifest_checksum_and_reproducibility(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"

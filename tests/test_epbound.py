@@ -11,6 +11,7 @@ from qkd3 import (
     approx_bound,
     az_branch,
     exact_bound,
+    exact_ep,
     random_attack,
     rates_from_ensemble,
     simple_bound,
@@ -178,6 +179,37 @@ class TestExactBound:
         for e_b, alpha in [(0.05, 0.05), (0.3, 0.3), (0.01, 0.44)]:
             res = exact_bound(e_b, alpha)
             assert 0.0 <= res.ay_star <= 1.0
+
+
+class TestExactEp:
+    # log grid over [1e-15, 1/2] plus the exact axis, midpoint and edge values
+    GRID = sorted(
+        {float(x) for x in np.logspace(-15, math.log10(0.5), 54)}
+        | {0.0, 0.25, 0.5}
+    )
+
+    def test_equals_exact_bound_values(self):
+        compared = 0
+        for e_b in self.GRID:
+            for alpha in self.GRID:
+                try:
+                    res = exact_bound(e_b, alpha)
+                except RuntimeError:
+                    # recorded witness defect at tiny alpha; the value
+                    # needs no witness, so exact_ep still returns one
+                    assert 0.0 <= exact_ep(e_b, alpha) <= 0.5
+                    continue
+                assert exact_ep(e_b, alpha) == res.ep_max
+                assert exact_ep(e_b, alpha, capped=False) == res.ep_uncapped
+                compared += 1
+        assert compared >= len(self.GRID) ** 2 - 10
+
+    def test_domain_errors(self):
+        for e_b, alpha in [(-0.1, 0.1), (0.6, 0.1), (0.1, 0.51), (0.1, -1.0)]:
+            with pytest.raises(DomainError):
+                exact_ep(e_b, alpha)
+            with pytest.raises(DomainError):
+                exact_ep(e_b, alpha, capped=False)
 
 
 class TestApproxBound:
