@@ -61,4 +61,4 @@ from .simulate import (
     sampling_check,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

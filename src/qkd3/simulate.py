@@ -1,19 +1,22 @@
 """Monte Carlo simulator of the three-state prepare-and-measure protocol.
 
-Each of the 8N(1+delta) rounds draws Alice's basis (Z sends a uniform
-key bit, X sends the check state) and Bob's measurement basis uniformly;
-mismatched rounds are sifted out.  Outcomes are sampled from the
+Each of the 8N(1+delta) rounds has Alice pick a basis (Z sends a uniform
+key bit, X sends the check state) and Bob a measurement basis, both
+uniformly; mismatched rounds are sifted out.  Outcomes follow the
 analytic per-round distribution of the configured attack: a Z round
 flips with probability e_b, an X-check round errs with probability
 alpha.  Phase errors are never sampled; they stay analytic, which is
 exactly what the bound is for.
 
-Randomness comes from counter-based Philox streams split off one seed:
-substream k (of 5: alice basis, bob basis, outcome, Z partition, X
-partition) is Philox keyed by the k-th child of SeedSequence(seed), and
-round i consumes the i-th variate of its substream.  Any slicing or
-parallel generation that respects this addressing is bitwise identical
-to a sequential run.
+Only the announced counts are drawn, never the rounds: three draws
+from counter-based Philox streams split off one seed, substream k being
+Philox keyed by the k-th child of SeedSequence(seed).  Child 0 draws
+the (Z, X, discarded) sift split as Multinomial(m; 1/4, 1/4, 1/2),
+child 1 the Z check errors as Binomial(N, e_b), child 2 the X check
+errors as Binomial(2N, alpha).  This is exact: errors are iid given the
+basis and independent of which sifted rounds the uniform check subsets
+pick, so each subset's error count is binomial and independent of the
+split.  A run takes the same time and memory at every N.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .attack import KrausCoefficients, rates_from_ensemble
 from .errors import InsufficientSiftError
 
-_N_SUBSTREAMS = 5
+_N_SUBSTREAMS = 3
 _SIGMA_FACTOR = 5.0  # deviation flag threshold, in binomial sigmas
 
 
@@ -71,42 +74,27 @@ def run_protocol(config: SimConfig) -> ProtocolStats:
     """Simulate one protocol run and tally the announced error counts.
 
     N Z-sifted rounds become check bits, N more become data bits, and 2N
-    X-sifted rounds become check bits, all chosen by seeded permutation;
-    surplus sifted rounds are unused.  Raises InsufficientSiftError when
-    fewer than 2N rounds sift in either basis.
+    X-sifted rounds become check bits, all chosen uniformly; surplus
+    sifted rounds are unused.  Raises InsufficientSiftError when fewer
+    than 2N rounds sift in either basis.
     """
     rates = rates_from_ensemble([config.attack])
     n = config.N
     m = round(8 * n * (1.0 + config.delta))
-    basis_a, basis_b, outcome, part_z, part_x = _substreams(config.seed)
+    split, z_check, x_check = _substreams(config.seed)
 
-    alice_x = basis_a.random(m) < 0.5
-    bob_x = basis_b.random(m) < 0.5
-    u = outcome.random(m)
-
-    z_rounds = np.flatnonzero(~alice_x & ~bob_x)
-    x_rounds = np.flatnonzero(alice_x & bob_x)
-    sifted = len(z_rounds) + len(x_rounds)
-    if len(z_rounds) < 2 * n or len(x_rounds) < 2 * n:
+    n_z, n_x, _ = (int(c) for c in split.multinomial(m, [0.25, 0.25, 0.5]))
+    if n_z < 2 * n or n_x < 2 * n:
         raise InsufficientSiftError(
             f"need 2N={2 * n} sifted rounds per basis, got "
-            f"{len(z_rounds)} (Z) and {len(x_rounds)} (X)"
+            f"{n_z} (Z) and {n_x} (X)"
         )
-
-    z_err = u[z_rounds] < rates.e_b
-    x_err = u[x_rounds] < rates.alpha
-
-    z_order = part_z.permutation(len(z_rounds))
-    z_check = z_err[z_order[:n]]
-    # data bits are z_err[z_order[n:2n]]; their values are never announced
-    x_order = part_x.permutation(len(x_rounds))
-    x_check = x_err[x_order[: 2 * n]]
-
-    z_check_errors = int(z_check.sum())
-    x_check_errors = int(x_check.sum())
+    # data-bit errors are never announced, so they are never drawn
+    z_check_errors = int(z_check.binomial(n, rates.e_b))
+    x_check_errors = int(x_check.binomial(2 * n, rates.alpha))
     return ProtocolStats(
         transmitted=m,
-        sifted=int(sifted),
+        sifted=n_z + n_x,
         z_check_errors=z_check_errors,
         z_check_total=n,
         x_check_errors=x_check_errors,
@@ -118,7 +106,14 @@ def run_protocol(config: SimConfig) -> ProtocolStats:
 
 @dataclass(frozen=True)
 class AzumaReport:
-    """Observed check-state frequencies vs the analytic probabilities."""
+    """Observed check-state frequencies vs the analytic probabilities.
+
+    A 5-sigma binomial check, not Azuma's inequality despite the name.
+    The no-error fields mirror the error fields: dev_no_error ==
+    dev_error, threshold_no_error == threshold_error and
+    within_no_error == within_error hold by construction, since
+    |(1 - f) - (1 - p)| = |f - p|.
+    """
 
     p_error: float
     p_no_error: float
@@ -137,25 +132,24 @@ class AzumaReport:
 def azuma_check(stats: ProtocolStats, attack: KrausCoefficients) -> AzumaReport:
     """Compare X-check counts against the attack's analytic probabilities.
 
-    Deviations are flagged when within 5 binomial sigmas of the analytic
-    error / no-error probabilities.
+    within_error is set when the observed X-check error frequency f has
+    |f - alpha| at most 5 binomial sigmas, sigma = sqrt(alpha (1 - alpha)
+    / 2N).
     """
     alpha = rates_from_ensemble([attack]).alpha
     n_x = stats.x_check_total
-    f_err = stats.x_check_errors / n_x
-    dev_err = abs(f_err - alpha)
-    dev_ok = abs((1.0 - f_err) - (1.0 - alpha))
+    dev_err = abs(stats.x_check_errors / n_x - alpha)
     sigma = math.sqrt(alpha * (1.0 - alpha) / n_x)
     thr = _SIGMA_FACTOR * sigma
     return AzumaReport(
         p_error=alpha,
         p_no_error=1.0 - alpha,
         dev_error=dev_err,
-        dev_no_error=dev_ok,
+        dev_no_error=dev_err,
         threshold_error=thr,
         threshold_no_error=thr,
         within_error=dev_err <= thr,
-        within_no_error=dev_ok <= thr,
+        within_no_error=dev_err <= thr,
         alpha_gap=abs(stats.observed_alpha - alpha),
     )
 

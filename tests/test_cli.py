@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from qkd3 import __version__
 from qkd3.cli import main
 
 
@@ -200,6 +202,12 @@ class TestOutputPinned:
 
 
 class TestManifest:
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            assert tomllib.load(f)["project"]["version"] == __version__
+
     def test_manifest_checksum_and_reproducibility(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qkd3 import (
     run_protocol,
     sampling_check,
 )
+from qkd3.cli import main
 
 IDENTITY = KrausCoefficients(1, 0, 0, 0)
 BIT_FLIP = KrausCoefficients(0, 1, 0, 0)
@@ -95,6 +97,45 @@ class TestRunProtocol:
             assert isinstance(payload[key], int)
 
 
+class TestCountSampler:
+    """run_protocol draws the announced counts, not the rounds."""
+
+    def test_memory_independent_of_n(self):
+        cfg = SimConfig(N=10**8, attack=GENERIC, seed=0)
+        run_protocol(cfg)
+        tracemalloc.start()
+        try:
+            run_protocol(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_count_moments_over_seeds(self):
+        # z/x check errors are Binomial(N, e_b) / Binomial(2N, alpha) and
+        # sifted is Binomial(m, 1/2); check mean and variance over seeds
+        n, runs = 2_000, 4_000
+        rates = rates_from_ensemble([GENERIC])
+        samples = [
+            run_protocol(SimConfig(N=n, attack=GENERIC, seed=s)) for s in range(runs)
+        ]
+        m = samples[0].transmitted
+        for field, trials, p in (
+            ("z_check_errors", n, rates.e_b),
+            ("x_check_errors", 2 * n, rates.alpha),
+            ("sifted", m, 0.5),
+        ):
+            x = np.array([getattr(st, field) for st in samples], dtype=float)
+            mean, var = trials * p, trials * p * (1 - p)
+            assert abs(x.mean() - mean) <= 5 * math.sqrt(var / runs), field
+            assert 0.9 <= x.var(ddof=1) / var <= 1.1, field
+
+    def test_cli_large_n(self, capsys):
+        argv = ["simulate", "--N", "100000000", "--seed", "1"]
+        assert main(argv + ["--attack", GENERIC.serialize()]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["z_check_total"] == 10**8
+
+
 class TestAzumaCheck:
     def test_identity_zero_deviation(self):
         stats = run_protocol(SimConfig(N=5_000, attack=IDENTITY, seed=1))
@@ -116,6 +157,15 @@ class TestAzumaCheck:
             rep = azuma_check(stats, GENERIC)
             hits += rep.within_error and rep.within_no_error
         assert hits >= 49
+
+    def test_no_error_fields_mirror_error_fields(self):
+        for seed in range(20):
+            rep = azuma_check(
+                run_protocol(SimConfig(N=10_000, attack=GENERIC, seed=seed)), GENERIC
+            )
+            assert rep.dev_no_error == rep.dev_error
+            assert rep.threshold_no_error == rep.threshold_error
+            assert rep.within_no_error == rep.within_error
 
     def test_alpha_gap_matches_observed(self):
         stats = run_protocol(SimConfig(N=5_000, attack=GENERIC, seed=8))
