@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -27,26 +26,11 @@ from .simulate import SimConfig, azuma_check, run_protocol
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_SIMULATION = 4
+_MAX_DECOY_ROWS = 10**6  # bounds the decoy sweep's time and memory
 
 
 def _fmt(x: float) -> str:
     return format(x, ".9g")
-
-
-def _threads() -> int:
-    cpus = os.cpu_count() or 1
-    cap = os.environ.get("QKD3_THREADS")
-    if cap is not None:
-        return max(1, min(cpus, int(cap)))
-    return cpus
-
-
-def _map_ordered(fn, items):
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -99,7 +83,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
         sb = simple_bound(e, e)
         return ",".join(_fmt(v) for v in (e, ex, ap, sb))
 
-    rows = _map_ordered(row, ebs)
+    rows = [row(e) for e in ebs]
     _emit("eb,ep_exact,ep_approx,ep_5eb\n" + "\n".join(rows) + "\n", args)
     return 0
 
@@ -111,22 +95,31 @@ def cmd_region(args: argparse.Namespace) -> int:
     method = {"exact": "exact", "approx": "approximate", "simple": "simple"}[
         args.method
     ]
-    rows = _map_ordered(
-        lambda a: f"{_fmt(a)},{_fmt(tolerable_eb(a, method))}", alphas
-    )
+    rows = [f"{_fmt(a)},{_fmt(tolerable_eb(a, method))}" for a in alphas]
     _emit("alpha,eb_max\n" + "\n".join(rows) + "\n", args)
     return 0
 
 
-def cmd_decoy(args: argparse.Namespace) -> int:
-    if args.L_step <= 0 or args.L_max < args.L_min or args.L_min < 0:
+def _distances(L_min: float, L_max: float, L_step: float) -> list[float]:
+    """L_min, L_min + L_step, ... up to L_max; at most _MAX_DECOY_ROWS of them,
+    also when L_step is below the float spacing at L and L stops growing."""
+    if not (0.0 <= L_min <= L_max < math.inf and 0.0 < L_step < math.inf):
         raise DomainError("invalid distance range")
-    params = load_channel_params(args.params) if args.params else GYS
+    if (L_max - L_min) / L_step >= _MAX_DECOY_ROWS:
+        raise DomainError(f"distance range exceeds {_MAX_DECOY_ROWS} rows")
     distances = []
-    L = args.L_min
-    while L <= args.L_max + 1e-9:
+    L = L_min
+    while L <= L_max + 1e-9:
+        if len(distances) == _MAX_DECOY_ROWS:
+            raise DomainError(f"distance range exceeds {_MAX_DECOY_ROWS} rows")
         distances.append(round(L, 9))
-        L += args.L_step
+        L += L_step
+    return distances
+
+
+def cmd_decoy(args: argparse.Namespace) -> int:
+    distances = _distances(args.L_min, args.L_max, args.L_step)
+    params = load_channel_params(args.params) if args.params else GYS
 
     def row(L_km: float) -> str:
         mu, rate = optimal_mu(params, L_km, args.protocol)
@@ -138,7 +131,7 @@ def cmd_decoy(args: argparse.Namespace) -> int:
         vals = (L_km, mu, obs.Q_mu, obs.E_mu, obs.Q1, obs.e1, ep, max(rate, 0.0))
         return ",".join(_fmt(v) for v in vals)
 
-    rows = _map_ordered(row, distances)
+    rows = [row(L_km) for L_km in distances]
     _emit("L_km,mu,Q_mu,E_mu,Q1,e1,e_p,R\n" + "\n".join(rows) + "\n", args)
     return 0
 

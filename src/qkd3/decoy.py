@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .epbound import exact_ep
+from .epbound import _golden_max, exact_ep
 from .errors import DomainError, NoSecureDistanceError
 from .keyrate import binary_entropy
 
@@ -27,7 +27,6 @@ PROTOCOLS = ("three-state", "bb84")
 _MU_SCAN_POINTS = 400  # scan grid on (0, 1]
 _MU_TOL = 1e-6
 _DISTANCE_RESOLUTION_KM = 0.01
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -187,24 +186,7 @@ def optimal_mu(
     i = int(np.argmax(vals))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    best_mu, best_r = float(grid[i]), float(vals[i])
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = rate(c), rate(d)
-    while hi - lo > _MU_TOL:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = rate(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = rate(d)
-        if fc > best_r:
-            best_mu, best_r = c, fc
-        if fd > best_r:
-            best_mu, best_r = d, fd
-    return best_mu, best_r
+    return _golden_max(rate, lo, hi, _MU_TOL, (float(grid[i]), float(vals[i])))
 
 
 def max_secure_distance(params: ChannelParams, protocol: str) -> float:

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from qkd3 import __version__
-from qkd3.cli import main
+from qkd3 import DomainError, __version__
+from qkd3.cli import _distances, main
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +129,31 @@ class TestDecoy:
         assert code == 2
         assert "nonsense" in err
 
+    @pytest.mark.parametrize(
+        "L_min, L_max, L_step",
+        [
+            (0.0, 150.0, 1e-300),  # about 1e302 rows
+            (0.0, math.inf, 5.0),
+            (0.0, 150.0, math.inf),
+            (math.nan, 150.0, 5.0),
+            (1e17, 1e17 + 1000.0, 1.0),  # L + L_step == L
+        ],
+    )
+    def test_unbounded_distance_range_rejected(self, L_min, L_max, L_step):
+        with pytest.raises(DomainError):
+            _distances(L_min, L_max, L_step)
+
+    def test_distance_rows(self):
+        assert _distances(0.0, 150.0, 5.0) == [5.0 * k for k in range(31)]
+        assert len(_distances(0.0, 999_999.0, 1.0)) == 1_000_000
+
+    @pytest.mark.parametrize("flag, value", [("--L-step", "1e-300"), ("--L-max", "inf")])
+    def test_unbounded_distance_range_exit_code(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "decoy", flag, value)
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err
+
 
 class TestSimulate:
     ATTACK = ",".join(
@@ -192,6 +217,14 @@ class TestOutputPinned:
             "a8837aaf73a8d70a19d487c8807d74ef236d115ddc76b11fe4b4759c0664c130",
         ("decoy", "--protocol", "three-state"):
             "c748ebcb65efc470c38730d7255f2648133ca074052dbec3adb95f937fcc1f83",
+        ("region", "--method", "exact", "--steps", "21"):
+            "c941f000fd773a9cb795fa6edcb7e2557a5e08c605260f2c0a04f722e5ea8828",
+        ("fig1", "--steps", "401"):
+            "21ab138de5650a10180245f6244221434b94f9bfc5e89d552c1c208d7d986e84",
+        ("decoy", "--L-step", "1"):
+            "c284b0f4047b8c909ea6debdc2e5e1368edd952956eb07ce6eb31422e9926415",
+        ("decoy", "--protocol", "bb84", "--L-step", "1"):
+            "49dfde135fbbd7e86458c6b40cf742c59c9cd7a1eabd680f6af55f4fd410197c",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)

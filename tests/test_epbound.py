@@ -16,6 +16,7 @@ from qkd3 import (
     rates_from_ensemble,
     simple_bound,
 )
+from qkd3.epbound import _grid_max, _scan
 
 rate = st.floats(min_value=1e-4, max_value=0.5, allow_nan=False)
 
@@ -210,6 +211,88 @@ class TestExactEp:
                 exact_ep(e_b, alpha)
             with pytest.raises(DomainError):
                 exact_ep(e_b, alpha, capped=False)
+
+
+class TestGridMax:
+    """The two-level scan against the full 10 001-point scan, its oracle."""
+
+    GRID = sorted(
+        {float(x) for x in np.logspace(-15, math.log10(0.5), 56)} | {0.25, 0.5}
+    )
+
+    @staticmethod
+    def check_same_argmax(e_b, alpha):
+        h = HatParams.from_rates(e_b, alpha)
+        obj = _scan(h, e_b)
+        i = int(np.argmax(obj))
+        assert _grid_max(h, e_b) == (i, obj[i])
+
+    def test_full_scan_argmax_on_log_grid(self):
+        for e_b in self.GRID:
+            for alpha in self.GRID:
+                self.check_same_argmax(e_b, alpha)
+
+    @given(
+        st.floats(min_value=-15.0, max_value=math.log10(0.5)),
+        st.floats(min_value=-15.0, max_value=math.log10(0.5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_full_scan_argmax_log_uniform(self, log_eb, log_alpha):
+        self.check_same_argmax(10.0**log_eb, 10.0**log_alpha)
+
+    # exact_ep (capped, uncapped) and exact_bound's (ep_max, ep_uncapped,
+    # ay_star, method, witness) as computed by the full scan
+    PINNED = {
+        (0.05, 0.05): (
+            "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
+            "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
+            "0x1.faa4592b0a00fp-1", "exact",
+            "3.91308250808531,0.0,0.14429216962846222,0.0,"
+            "0.9895351281202255,0.0,0.0,1.9203607173957646",
+        ),
+        (0.3, 0.3): (
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce8p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce8p-1",
+            "0x1.8f5c28f5c28f6p-4", "exact",
+            "0.8222316002930461,0.01039769908216101,0.9952355248884557,0.0,"
+            "0.0975,0.0,0.027209502216687474,1.2870198365432395",
+        ),
+        (0.2407, 6.9e-4): (
+            "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
+            "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
+            "0x1.fff479bfa3d56p-1", "exact",
+            "1.4411237973127209,0.0,0.013260503624800381,0.0,"
+            "0.9999120756564632,0.0,0.0,1.038128812926101",
+        ),
+        (0.3, 1e-8): (
+            "0x1.0000000000000p-1", "0x1.333c47e70398dp-1",
+            "0x1.0000000000000p-1", "0x1.333c47e70398dp-1",
+            "0x1.fffffff48cf22p-1", "exact",
+            "1.1546005336189178,0.0,5.1631175318781446e-05,0.0,"
+            "0.9999999986671109,0.0,0.0,1.0001154638841676",
+        ),
+        (1e-15, 0.5): (
+            "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
+            "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
+            "0x0.0p+0", "exact",
+            "-0.06250000042913137,22360679.774997875,1.0,0.0,"
+            "0.0,0.0,22360679.774997894,0.0",
+        ),
+    }
+
+    @pytest.mark.parametrize("point", list(PINNED), ids=str)
+    def test_pinned_bits(self, point):
+        res = exact_bound(*point)
+        got = (
+            exact_ep(*point).hex(),
+            exact_ep(*point, capped=False).hex(),
+            res.ep_max.hex(),
+            res.ep_uncapped.hex(),
+            float(res.ay_star).hex(),
+            res.method,
+            res.witness.serialize(),
+        )
+        assert got == self.PINNED[point]
 
 
 class TestApproxBound:
