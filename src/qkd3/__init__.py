@@ -33,6 +33,7 @@ from .epbound import (
     az_branch,
     exact_bound,
     exact_ep,
+    exact_ep_many,
     simple_bound,
 )
 from .errors import (

@@ -18,9 +18,9 @@ from pathlib import Path
 from . import __version__
 from .attack import KrausCoefficients
 from .decoy import GYS, channel_observables, load_channel_params, optimal_mu, phase_error_for
-from .epbound import approx_bound, exact_bound, exact_ep, simple_bound
+from .epbound import approx_bound, exact_bound, exact_ep_many, simple_bound
 from .errors import DomainError, InsufficientSiftError, SamplingError
-from .keyrate import tolerable_eb
+from .keyrate import secure_region_frontier
 from .simulate import SimConfig, azuma_check, run_protocol
 
 EXIT_PARSE = 2
@@ -76,14 +76,13 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise DomainError("--steps must be >= 2")
     ebs = [args.eb_max * i / (args.steps - 1) for i in range(args.steps)]
-
-    def row(e: float) -> str:
-        ex = exact_ep(e, e)
-        ap = approx_bound(e, e, capped=False)
-        sb = simple_bound(e, e)
-        return ",".join(_fmt(v) for v in (e, ex, ap, sb))
-
-    rows = [row(e) for e in ebs]
+    rows = [
+        ",".join(
+            _fmt(v)
+            for v in (e, ex, approx_bound(e, e, capped=False), simple_bound(e, e))
+        )
+        for e, ex in zip(ebs, exact_ep_many(ebs, ebs))
+    ]
     _emit("eb,ep_exact,ep_approx,ep_5eb\n" + "\n".join(rows) + "\n", args)
     return 0
 
@@ -91,11 +90,13 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 def cmd_region(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise DomainError("--steps must be >= 2")
-    alphas = [0.5 * i / (args.steps - 1) for i in range(args.steps)]
     method = {"exact": "exact", "approx": "approximate", "simple": "simple"}[
         args.method
     ]
-    rows = [f"{_fmt(a)},{_fmt(tolerable_eb(a, method))}" for a in alphas]
+    rows = [
+        f"{_fmt(a)},{_fmt(e_b)}"
+        for a, e_b in secure_region_frontier(args.steps, method)
+    ]
     _emit("alpha,eb_max\n" + "\n".join(rows) + "\n", args)
     return 0
 

@@ -15,9 +15,11 @@ relevant root is `az_branch`; the remaining 1-D maximization over |a_Y|
 is `exact_bound`, which also returns an attack attaining the bound, and
 `exact_ep`, its value alone; both scan a 10 001-point |a_Y| grid in two
 levels (every 100th point, then the stretch around the coarse maximum)
-and refine by golden section.  `approx_bound` is the closed form obtained
-from an analytic upper bound on |a_Z|, and `simple_bound` its small-rate
-simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
+and refine by golden section.  `exact_ep_many` is `exact_ep` at many
+points: the same scan broadcasts over a block of points, so one 2-D pass
+serves up to `_BLOCK` of them.  `approx_bound` is the closed form
+obtained from an analytic upper bound on |a_Z|, and `simple_bound` its
+small-rate simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
 gives away everything, so larger values are never needed.
@@ -27,9 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import KrausCoefficients
 from .errors import DomainError
@@ -37,16 +41,25 @@ from .errors import DomainError
 _SCAN_POINTS = 10_001  # uniform |a_Y| grid on [0, 1]
 _STRIDE = 100  # coarse-scan step; divides _SCAN_POINTS - 1 so |a_Y| = 1 is scanned
 _AY_TOL = 1e-9  # golden-section |a_Y| tolerance
+_BLOCK = 32  # points per 2-D scan in exact_ep_many; bounds its temporaries
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 EP_CAP = 0.5
 
-# The |a_Y| scan grid and the grid terms every scan reuses; computed once
-# here, they give the same bits as computing them per scan.
-_AY = np.linspace(0.0, 1.0, _SCAN_POINTS)
-_AY2 = _AY * _AY
-_ONE_MINUS_AY2 = 1.0 - _AY2
-_TWO_AY = 2.0 * _AY
+# The |a_Y| scan grid and the grid terms every scan reuses (rows |a_Y|,
+# |a_Y|^2, 1 - |a_Y|^2, 2|a_Y|), computed once here; they give the same bits
+# as computing them per scan.  _STRIDE NaN cells pad each end, so that every
+# fine window below is a full-width row; the scan reads NaN as infeasible.
+_GRID = np.full((4, _SCAN_POINTS + 2 * _STRIDE), np.nan)
+_FULL = _GRID[:, _STRIDE:-_STRIDE]
+_AY, _AY2, _ONE_MINUS_AY2, _TWO_AY = _FULL
+_AY[:] = np.linspace(0.0, 1.0, _SCAN_POINTS)
+np.multiply(_AY, _AY, out=_AY2)
+np.subtract(1.0, _AY2, out=_ONE_MINUS_AY2)
+np.multiply(2.0, _AY, out=_TWO_AY)
+_COARSE = _FULL[:, ::_STRIDE]  # every _STRIDE-th point, |a_Y| = 1 included
+# Row r holds grid indices r - _STRIDE .. r + _STRIDE (NaN outside the grid).
+_WINDOWS = sliding_window_view(_GRID, 2 * _STRIDE + 1, axis=1)
 
 
 @dataclass(frozen=True)
@@ -120,42 +133,40 @@ def _objective(ay: float, hats: HatParams, e_b: float) -> float:
     return (z * z + ay * ay) * e_b
 
 
-def _scan(hats: HatParams, e_b: float, window: slice = slice(None)) -> np.ndarray:
-    """Vectorized objective over _AY[window] (-inf marks infeasible); the
-    full grid, the default, is the tests' oracle for `_grid_max`."""
-    ay, ay2 = _AY[window], _AY2[window]
-    s = np.sqrt(np.maximum(hats.alpha_hat * _ONE_MINUS_AY2[window], 0.0))
-    r = (
-        hats.eb_hat * (1.0 + hats.alpha_hat)
-        - 1.0
-        - ay2 * (hats.alpha_hat - 1.0)
-        - _TWO_AY[window] * s
-    )
-    z = (hats.alpha_hat * ay + s + np.sqrt(np.maximum(r, 0.0))) / (
-        1.0 + hats.alpha_hat
-    )
-    feasible = (r >= 0.0) & (z * z <= hats.eb_hat)
+def _scan(eb_hat, alpha_hat, e_b, grid=_FULL) -> np.ndarray:
+    """Objective over the grid terms `grid` (rows as in _GRID; -inf marks
+    infeasible, NaN cells included).
+
+    Broadcasts: floats give one point's objective along the grid's last
+    axis, (B, 1) columns give B points' at once, with the same bits per
+    point.  The full grid, the default, is the tests' oracle for
+    `_grid_max`.
+    """
+    ay, ay2, one_minus_ay2, two_ay = grid
+    s = np.sqrt(np.maximum(alpha_hat * one_minus_ay2, 0.0))
+    r = eb_hat * (1.0 + alpha_hat) - 1.0 - ay2 * (alpha_hat - 1.0) - two_ay * s
+    z = (alpha_hat * ay + s + np.sqrt(np.maximum(r, 0.0))) / (1.0 + alpha_hat)
+    feasible = (r >= 0.0) & (z * z <= eb_hat)
     return np.where(feasible, (z * z + ay2) * e_b, -np.inf)
 
 
-def _grid_max(hats: HatParams, e_b: float) -> tuple[int, float] | None:
+def _grid_max(eb_hat, alpha_hat, e_b):
     """Index into _AY of the objective's grid maximum, and its value.
 
     Scans every _STRIDE-th point, then all points between the coarse
-    maximum's two neighbours: the full scan's argmax whenever the objective
+    maximum's two neighbours (a row of _WINDOWS: a view for one point, one
+    gather for a block): the full scan's argmax whenever the objective
     rises then falls along the grid, as it did (one local maximum, whole
-    grid feasible) on 80 000 log- and linear-uniform points.  None when no
-    coarse point is feasible, which happens where eb_hat * (1 + alpha_hat)
-    overflows: e_b * alpha below about 5.6e-309, e.g. (1e-300, 1e-300).
+    grid feasible) on 80 000 log- and linear-uniform points.  Takes floats
+    or (B, 1) columns like `_scan` and returns scalars or length-B arrays.
+    The value is not finite, and the index meaningless, when no scanned
+    point has a finite objective, which happens where eb_hat * (1 +
+    alpha_hat) overflows: e_b * alpha below about 5.6e-309, e.g. (1e-300,
+    1e-300), or a subnormal rate.
     """
-    coarse = _scan(hats, e_b, slice(None, None, _STRIDE))
-    if not np.isfinite(coarse).any():
-        return None
-    j = int(np.argmax(coarse))
-    start = max(j - 1, 0) * _STRIDE
-    obj = _scan(hats, e_b, slice(start, min((j + 1) * _STRIDE + 1, _SCAN_POINTS)))
-    k = int(np.argmax(obj))
-    return start + k, float(obj[k])
+    j = _scan(eb_hat, alpha_hat, e_b, _COARSE).argmax(axis=-1)
+    fine = _scan(eb_hat, alpha_hat, e_b, _WINDOWS[:, j * _STRIDE])
+    return (j - 1) * _STRIDE + fine.argmax(axis=-1), fine.max(axis=-1)
 
 
 def _golden_max(f, lo: float, hi: float, tol=_AY_TOL, best=None) -> tuple[float, float]:
@@ -265,19 +276,18 @@ def _limiting_case(e_b: float, alpha: float) -> BoundResult:
     return BoundResult(ep, ay, w, "limiting", 2.0 * e_b)
 
 
-def _maximize(e_b: float, alpha: float) -> tuple[float, float, HatParams]:
-    """Uncapped maximum of the objective, the |a_Y| attaining it, and the hats.
-
-    Refines `_grid_max` by golden section between its grid neighbours.
-    Needs e_b and alpha in (0, 1/2]; RuntimeError if no |a_Y| is feasible.
-    """
-    hats = HatParams.from_rates(e_b, alpha)
-    found = _grid_max(hats, e_b)
-    if found is None:
-        raise RuntimeError(
-            f"no feasible |a_Y| found for (e_b, alpha)=({e_b}, {alpha})"
+def _refine(
+    e_b: float, alpha: float, hats: HatParams, i: int, grid_val: float
+) -> tuple[float, float]:
+    """Uncapped maximum of the objective and the |a_Y| attaining it, from
+    the grid maximum (i, grid_val) of `_grid_max`, by golden section between
+    its grid neighbours.  DomainError if no |a_Y| was feasible."""
+    i, grid_val = int(i), float(grid_val)
+    if not math.isfinite(grid_val):
+        raise DomainError(
+            f"no feasible |a_Y| for (e_b, alpha)=({e_b}, {alpha}): "
+            "rates too small, (1 - e_b) / (e_b * alpha) overflows"
         )
-    i, grid_val = found
     lo = _AY[max(i - 1, 0)]
     hi = _AY[min(i + 1, _SCAN_POINTS - 1)]
     ay_star, val = _golden_max(
@@ -285,7 +295,17 @@ def _maximize(e_b: float, alpha: float) -> tuple[float, float, HatParams]:
     )
     if grid_val > val:
         ay_star, val = float(_AY[i]), grid_val
-    return val, ay_star, hats
+    return val, ay_star
+
+
+def _maximize(e_b: float, alpha: float) -> tuple[float, float, HatParams]:
+    """Uncapped maximum of the objective, the |a_Y| attaining it, and the hats.
+
+    Needs e_b and alpha in (0, 1/2]; DomainError if no |a_Y| is feasible.
+    """
+    hats = HatParams.from_rates(e_b, alpha)
+    found = _grid_max(hats.eb_hat, hats.alpha_hat, e_b)
+    return (*_refine(e_b, alpha, hats, *found), hats)
 
 
 def exact_bound(e_b: float, alpha: float) -> BoundResult:
@@ -321,20 +341,59 @@ def exact_bound(e_b: float, alpha: float) -> BoundResult:
     return BoundResult(EP_CAP, y_cap, witness, "exact", val)
 
 
+def _axis_ep(e_b: float, alpha: float) -> float | None:
+    """Uncapped bound on the axes (`_limiting_case`'s values: e_p = alpha on
+    e_b = 0, e_p = 2*e_b on alpha = 0), None inside; checks the domain."""
+    _check_domain(e_b, alpha)
+    if e_b == 0.0:
+        return alpha
+    if alpha == 0.0:
+        return 2.0 * e_b
+    return None
+
+
 def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
     """Value of `exact_bound` without the witness.
 
     Equals exact_bound(e_b, alpha).ep_max, or .ep_uncapped with
     ``capped=False``; for sweeps that read only the value.
     """
-    _check_domain(e_b, alpha)
-    if e_b == 0.0 or alpha == 0.0:
-        # _limiting_case's uncapped values: e_p = alpha on e_b = 0,
-        # e_p = 2*e_b on alpha = 0.
-        val = alpha if e_b == 0.0 else 2.0 * e_b
-    else:
+    val = _axis_ep(e_b, alpha)
+    if val is None:
         val = _maximize(e_b, alpha)[0]
     return min(val, EP_CAP) if capped else val
+
+
+def exact_ep_many(
+    e_bs: Iterable[float], alphas: Iterable[float], capped: bool = True
+) -> list[float]:
+    """`exact_ep` at each point (e_bs[k], alphas[k]), bit for bit.
+
+    Checks every point's domain first, then scans the interior points in
+    blocks of up to _BLOCK with one 2-D `_grid_max` each, and refines each
+    point as `exact_ep` does.  For sweeps with many points at once, where
+    it saves the per-point cost of the numpy calls.  DomainError if any
+    point is outside [0, 1/2]^2 or too small to bound, ValueError if the
+    two sequences differ in length.
+    """
+    vals, inner = [], []
+    for e_b, alpha in zip(e_bs, alphas, strict=True):
+        e_b, alpha = float(e_b), float(alpha)
+        vals.append(_axis_ep(e_b, alpha))
+        if vals[-1] is None:
+            hats = HatParams.from_rates(e_b, alpha)
+            inner.append((len(vals) - 1, e_b, alpha, hats))
+    for start in range(0, len(inner), _BLOCK):
+        block = inner[start : start + _BLOCK]
+        # (B, 1) columns of eb_hat, alpha_hat and e_b
+        columns = np.array([(h.eb_hat, h.alpha_hat, e) for _, e, _, h in block])
+        # Overflow of eb_hat * (1 + alpha_hat) is silent in the scalar path
+        # (Python floats) and is what _refine reports as a DomainError.
+        with np.errstate(over="ignore"):
+            found = _grid_max(*columns.T[:, :, None])
+        for (k, e, a, hats), i, g in zip(block, *(f.tolist() for f in found)):
+            vals[k] = _refine(e, a, hats, i, g)[0]
+    return [min(v, EP_CAP) if capped else v for v in vals]
 
 
 def approx_bound(e_b: float, alpha: float, capped: bool = True) -> float:

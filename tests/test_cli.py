@@ -55,6 +55,12 @@ class TestBound:
         assert code == 3
         assert "domain error" in err
 
+    def test_tiny_rates_exit_code(self, capsys):
+        # (1 - e_b) / (e_b * alpha) overflows: a domain error, not a traceback
+        code, _, err = run_cli(capsys, "bound", "--eb", "1e-300", "--alpha", "1e-300")
+        assert code == 3
+        assert "domain error" in err
+
 
 class TestFig1:
     def test_columns_and_rows(self, capsys):
@@ -74,6 +80,11 @@ class TestFig1:
         for line in out.strip().split("\n")[1:]:
             _, ex, ap, sb = (float(v) for v in line.split(","))
             assert ex <= ap + 1e-9 <= sb + 2e-9
+
+    def test_tiny_rates_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "fig1", "--eb-max", "1e-300", "--steps", "3")
+        assert code == 3
+        assert "domain error" in err
 
 
 class TestRegion:

@@ -12,11 +12,12 @@ from qkd3 import (
     az_branch,
     exact_bound,
     exact_ep,
+    exact_ep_many,
     random_attack,
     rates_from_ensemble,
     simple_bound,
 )
-from qkd3.epbound import _grid_max, _scan
+from qkd3.epbound import _BLOCK, _grid_max, _scan
 
 rate = st.floats(min_value=1e-4, max_value=0.5, allow_nan=False)
 
@@ -223,9 +224,9 @@ class TestGridMax:
     @staticmethod
     def check_same_argmax(e_b, alpha):
         h = HatParams.from_rates(e_b, alpha)
-        obj = _scan(h, e_b)
+        obj = _scan(h.eb_hat, h.alpha_hat, e_b)
         i = int(np.argmax(obj))
-        assert _grid_max(h, e_b) == (i, obj[i])
+        assert _grid_max(h.eb_hat, h.alpha_hat, e_b) == (i, obj[i])
 
     def test_full_scan_argmax_on_log_grid(self):
         for e_b in self.GRID:
@@ -293,6 +294,72 @@ class TestGridMax:
             res.witness.serialize(),
         )
         assert got == self.PINNED[point]
+
+
+class TestExactEpMany:
+    """The batched bound against the scalar `exact_ep`, its oracle."""
+
+    GRID = [0.0] + TestGridMax.GRID
+
+    @staticmethod
+    def check_equals_scalar(e_bs, alphas):
+        for capped in (True, False):
+            got = exact_ep_many(e_bs, alphas, capped)
+            want = [exact_ep(e, a, capped) for e, a in zip(e_bs, alphas)]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_equals_scalar_on_grid(self):
+        points = [(e, a) for e in self.GRID for a in self.GRID]
+        self.check_equals_scalar(*zip(*points))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-15.0, max_value=math.log10(0.5)),
+                st.floats(min_value=-15.0, max_value=math.log10(0.5)),
+            ),
+            min_size=1,
+            max_size=100,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scalar_log_uniform_blocks(self, logs):
+        # up to 100 points, so blocks cross the _BLOCK-point chunking
+        assert _BLOCK < 100
+        self.check_equals_scalar(
+            [10.0**x for x, _ in logs], [10.0**y for _, y in logs]
+        )
+
+    def test_empty_and_axes(self):
+        assert exact_ep_many([], []) == []
+        assert exact_ep_many([0.0, 0.1, 0.3], [0.3, 0.0, 0.0]) == [0.3, 0.2, 0.5]
+
+    def test_domain_errors(self):
+        for e_b, alpha in [(-0.1, 0.1), (0.6, 0.1), (0.1, 0.51), (0.1, -1.0)]:
+            with pytest.raises(DomainError):
+                exact_ep_many([0.05, e_b], [0.05, alpha])
+
+
+class TestTinyRates:
+    """Where (1 - e_b) / (e_b * alpha) overflows no |a_Y| is feasible; every
+    entry point reports that as a DomainError."""
+
+    POINTS = [(1e-300, 1e-300), (1e-160, 1e-160), (5e-324, 0.5)]
+
+    @pytest.mark.parametrize("point", POINTS, ids=str)
+    def test_domain_error(self, point):
+        with pytest.raises(DomainError, match="overflows"):
+            exact_ep(*point)
+        with pytest.raises(DomainError, match="overflows"):
+            exact_ep(*point, capped=False)
+        with pytest.raises(DomainError, match="overflows"):
+            exact_bound(*point)
+        with pytest.raises(DomainError, match="overflows"):
+            exact_ep_many([0.05, point[0]], [0.05, point[1]])
+
+    def test_smallest_bounded_product(self):
+        # e_b * alpha = 1e-308 still has finite odds ratios
+        assert exact_ep_many([1e-154], [1e-154]) == [exact_ep(1e-154, 1e-154)]
 
 
 class TestApproxBound:

@@ -138,6 +138,13 @@ class TestFrontier:
         for (_, e_ex), (_, e_ap) in zip(fr_ex, fr_ap):
             assert e_ex >= e_ap - 2e-6
 
+    @pytest.mark.parametrize("method", ["exact", "approximate", "simple"])
+    def test_equals_one_lane_tolerable_eb(self, method):
+        # the lockstep bisection against tolerable_eb, one alpha at a time
+        alphas = [0.5 * i / 50 for i in range(51)]
+        want = [(a, tolerable_eb(a, method)) for a in alphas]
+        assert secure_region_frontier(51, method) == want
+
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             secure_region_frontier(1)
