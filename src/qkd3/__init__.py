@@ -30,10 +30,8 @@ from .epbound import (
     BoundResult,
     HatParams,
     approx_bound,
-    az_branch,
     exact_bound,
     exact_ep,
-    exact_ep_many,
     simple_bound,
 )
 from .errors import (
@@ -56,10 +54,8 @@ from .simulate import (
     AzumaReport,
     ProtocolStats,
     SimConfig,
-    SplitRates,
     azuma_check,
     run_protocol,
-    sampling_check,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

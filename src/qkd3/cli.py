@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .attack import KrausCoefficients
 from .decoy import GYS, channel_observables, load_channel_params, optimal_mu, phase_error_for
-from .epbound import approx_bound, exact_bound, exact_ep_many, simple_bound
+from .epbound import approx_bound, exact_bound, exact_ep, simple_bound
 from .errors import DomainError, InsufficientSiftError, SamplingError
 from .keyrate import secure_region_frontier
 from .simulate import SimConfig, azuma_check, run_protocol
@@ -26,7 +26,7 @@ from .simulate import SimConfig, azuma_check, run_protocol
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_SIMULATION = 4
-_MAX_DECOY_ROWS = 10**6  # bounds the decoy sweep's time and memory
+_MAX_ROWS = 10**6  # bounds each sweep's time and memory
 
 
 def _fmt(x: float) -> str:
@@ -72,24 +72,29 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_steps(steps: int) -> None:
+    if not 2 <= steps <= _MAX_ROWS:
+        raise DomainError(f"--steps must be in [2, {_MAX_ROWS}]")
+
+
 def cmd_fig1(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise DomainError("--steps must be >= 2")
+    _check_steps(args.steps)
     ebs = [args.eb_max * i / (args.steps - 1) for i in range(args.steps)]
     rows = [
         ",".join(
             _fmt(v)
-            for v in (e, ex, approx_bound(e, e, capped=False), simple_bound(e, e))
+            for v in (
+                e, exact_ep(e, e), approx_bound(e, e, capped=False), simple_bound(e, e)
+            )
         )
-        for e, ex in zip(ebs, exact_ep_many(ebs, ebs))
+        for e in ebs
     ]
     _emit("eb,ep_exact,ep_approx,ep_5eb\n" + "\n".join(rows) + "\n", args)
     return 0
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    if args.steps < 2:
-        raise DomainError("--steps must be >= 2")
+    _check_steps(args.steps)
     method = {"exact": "exact", "approx": "approximate", "simple": "simple"}[
         args.method
     ]
@@ -102,17 +107,17 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def _distances(L_min: float, L_max: float, L_step: float) -> list[float]:
-    """L_min, L_min + L_step, ... up to L_max; at most _MAX_DECOY_ROWS of them,
+    """L_min, L_min + L_step, ... up to L_max; at most _MAX_ROWS of them,
     also when L_step is below the float spacing at L and L stops growing."""
     if not (0.0 <= L_min <= L_max < math.inf and 0.0 < L_step < math.inf):
         raise DomainError("invalid distance range")
-    if (L_max - L_min) / L_step >= _MAX_DECOY_ROWS:
-        raise DomainError(f"distance range exceeds {_MAX_DECOY_ROWS} rows")
+    if (L_max - L_min) / L_step >= _MAX_ROWS:
+        raise DomainError(f"distance range exceeds {_MAX_ROWS} rows")
     distances = []
     L = L_min
     while L <= L_max + 1e-9:
-        if len(distances) == _MAX_DECOY_ROWS:
-            raise DomainError(f"distance range exceeds {_MAX_DECOY_ROWS} rows")
+        if len(distances) == _MAX_ROWS:
+            raise DomainError(f"distance range exceeds {_MAX_ROWS} rows")
         distances.append(round(L, 9))
         L += L_step
     return distances

@@ -10,56 +10,56 @@ subject to
               = (|a_I| + |a_X|)^2 / (|a_Y| - |a_Z|)^2   (aligned phases)
 
 after aligning a_I with a_X and a_Z with i*a_Y, which only increases the
-objective.  Eliminating |a_I| and |a_X| leaves a quartic in |a_Z| whose
-relevant root is `az_branch`; the remaining 1-D maximization over |a_Y|
-is `exact_bound`, which also returns an attack attaining the bound, and
-`exact_ep`, its value alone; both scan a 10 001-point |a_Y| grid in two
-levels (every 100th point, then the stretch around the coarse maximum)
-and refine by golden section.  `exact_ep_many` is `exact_ep` at many
-points: the same scan broadcasts over a block of points, so one 2-D pass
-serves up to `_BLOCK` of them.  `approx_bound` is the closed form
-obtained from an analytic upper bound on |a_Z|, and `simple_bound` its
-small-rate simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
+objective.
+
+Angle form.  Write |a_Y| = sin(theta), |a_X| = cos(theta), |a_Z| =
+r sin(phi), a_I = r cos(phi) with r = sqrt(eb_hat), and tan(gamma) =
+1/sqrt(alpha_hat).  The alpha constraint becomes r sin(phi - gamma) =
+sin(theta + gamma), so with v = theta + gamma in [gamma, gamma + pi/2]
+and s = sin(v) the attack is, in closed form,
+
+    |a_Y| = sin(v - gamma),    |a_X| = cos(v - gamma),
+    |a_Z| = s cos(gamma) + sin(gamma) sqrt(eb_hat - s^2),
+    a_I   = sqrt(eb_hat - s^2) cos(gamma) - s sin(gamma),
+
+and the bound is e_p = e_b * max_v h(v) with h(v) = |a_Z|^2 + |a_Y|^2.
+Every v is feasible (s <= 1 <= eb_hat).  A negative a_I is the case
+where a_I opposes a_X: the constraint then holds with |a_I + a_X| =
+||a_X| - |a_I||.  `exact_ep` finds the maximum by one
+golden-section search over v, compared with both endpoints (h peaks at
+an endpoint over much of the domain); `exact_bound` also returns the
+attack attaining it.  `approx_bound` is the closed form obtained from an
+analytic upper bound on |a_Z|, and `simple_bound` its small-rate
+simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
-gives away everything, so larger values are never needed.
+gives away everything, so larger values are never needed.  A capped
+`exact_bound` still returns an attack with e_p exactly 1/2.
+`_capped_witness` runs first: it frees the two interference phases, so
+it also covers alpha above about 0.35, where every aligned attack has
+e_p > 1/2.  Where its |a_Y| grid finds nothing (e_b > 1/4 with small
+alpha, where the feasible window narrows like sqrt(alpha), and now and
+then just above the cap), the aligned crossing takes over: bisecting
+e_b * h(v) = 1/2 between the maximizer and an endpoint below the cap.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .attack import KrausCoefficients
 from .errors import DomainError
 
-_SCAN_POINTS = 10_001  # uniform |a_Y| grid on [0, 1]
-_STRIDE = 100  # coarse-scan step; divides _SCAN_POINTS - 1 so |a_Y| = 1 is scanned
-_AY_TOL = 1e-9  # golden-section |a_Y| tolerance
-_BLOCK = 32  # points per 2-D scan in exact_ep_many; bounds its temporaries
+_V_TOL = 1e-12  # golden-section tolerance in v
+_CROSS_TOL = 1e-15  # bisection tolerance of the capped crossing in v
+_MAX_BISECT = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 EP_CAP = 0.5
-
-# The |a_Y| scan grid and the grid terms every scan reuses (rows |a_Y|,
-# |a_Y|^2, 1 - |a_Y|^2, 2|a_Y|), computed once here; they give the same bits
-# as computing them per scan.  _STRIDE NaN cells pad each end, so that every
-# fine window below is a full-width row; the scan reads NaN as infeasible.
-_GRID = np.full((4, _SCAN_POINTS + 2 * _STRIDE), np.nan)
-_FULL = _GRID[:, _STRIDE:-_STRIDE]
-_AY, _AY2, _ONE_MINUS_AY2, _TWO_AY = _FULL
-_AY[:] = np.linspace(0.0, 1.0, _SCAN_POINTS)
-np.multiply(_AY, _AY, out=_AY2)
-np.subtract(1.0, _AY2, out=_ONE_MINUS_AY2)
-np.multiply(2.0, _AY, out=_TWO_AY)
-_COARSE = _FULL[:, ::_STRIDE]  # every _STRIDE-th point, |a_Y| = 1 included
-# Row r holds grid indices r - _STRIDE .. r + _STRIDE (NaN outside the grid).
-_WINDOWS = sliding_window_view(_GRID, 2 * _STRIDE + 1, axis=1)
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,10 @@ class HatParams:
     alpha_hat: float
 
     def __post_init__(self):
-        if not (self.eb_hat >= 1.0 and self.alpha_hat >= 1.0):
+        if not (1.0 <= self.eb_hat < math.inf and 1.0 <= self.alpha_hat < math.inf):
             raise DomainError(
-                "hatted parameters require e_b and alpha in (0, 1/2]"
+                "hatted parameters require e_b and alpha in (0, 1/2] with "
+                "finite odds ratios (1 - rate) / rate; a subnormal rate overflows"
             )
 
     @classmethod
@@ -107,69 +108,7 @@ def _check_domain(e_b: float, alpha: float) -> None:
         )
 
 
-def az_branch(ay: float, hats: HatParams) -> float | None:
-    """|a_Z| on the (+ + -) root branch at |a_Y| = ay, or None if infeasible.
-
-    Infeasible when the inner radicand is negative (the pre-squaring
-    constraint has no solution there) or when |a_Z|^2 > eb_hat (which
-    would force |a_I|^2 < 0).
-    """
-    ah, eh = hats.alpha_hat, hats.eb_hat
-    s = math.sqrt(max(ah * (1.0 - ay * ay), 0.0))
-    r = eh * (1.0 + ah) - 1.0 - ay * ay * (ah - 1.0) - 2.0 * ay * s
-    if r < 0.0:
-        return None
-    z = (ah * ay + s + math.sqrt(r)) / (1.0 + ah)
-    if z * z > eh:
-        return None
-    return z
-
-
-def _objective(ay: float, hats: HatParams, e_b: float) -> float:
-    """(|a_Z|^2 + |a_Y|^2) * e_b on the branch; -inf when infeasible."""
-    z = az_branch(ay, hats)
-    if z is None:
-        return -math.inf
-    return (z * z + ay * ay) * e_b
-
-
-def _scan(eb_hat, alpha_hat, e_b, grid=_FULL) -> np.ndarray:
-    """Objective over the grid terms `grid` (rows as in _GRID; -inf marks
-    infeasible, NaN cells included).
-
-    Broadcasts: floats give one point's objective along the grid's last
-    axis, (B, 1) columns give B points' at once, with the same bits per
-    point.  The full grid, the default, is the tests' oracle for
-    `_grid_max`.
-    """
-    ay, ay2, one_minus_ay2, two_ay = grid
-    s = np.sqrt(np.maximum(alpha_hat * one_minus_ay2, 0.0))
-    r = eb_hat * (1.0 + alpha_hat) - 1.0 - ay2 * (alpha_hat - 1.0) - two_ay * s
-    z = (alpha_hat * ay + s + np.sqrt(np.maximum(r, 0.0))) / (1.0 + alpha_hat)
-    feasible = (r >= 0.0) & (z * z <= eb_hat)
-    return np.where(feasible, (z * z + ay2) * e_b, -np.inf)
-
-
-def _grid_max(eb_hat, alpha_hat, e_b):
-    """Index into _AY of the objective's grid maximum, and its value.
-
-    Scans every _STRIDE-th point, then all points between the coarse
-    maximum's two neighbours (a row of _WINDOWS: a view for one point, one
-    gather for a block): the full scan's argmax whenever the objective
-    rises then falls along the grid, as it did (one local maximum, whole
-    grid feasible) on 80 000 log- and linear-uniform points.  Takes floats
-    or (B, 1) columns like `_scan` and returns scalars or length-B arrays.
-    The value is not finite, and the index meaningless, when no scanned
-    point has a finite objective, which happens where eb_hat * (1 +
-    alpha_hat) overflows: e_b * alpha below about 5.6e-309, e.g. (1e-300,
-    1e-300), or a subnormal rate.
-    """
-    j = _scan(eb_hat, alpha_hat, e_b, _COARSE).argmax(axis=-1)
-    fine = _scan(eb_hat, alpha_hat, e_b, _WINDOWS[:, j * _STRIDE])
-    return (j - 1) * _STRIDE + fine.argmax(axis=-1), fine.max(axis=-1)
-
-
-def _golden_max(f, lo: float, hi: float, tol=_AY_TOL, best=None) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float, tol: float, best=None) -> tuple[float, float]:
     """Golden-section maximization of f on [lo, hi] to tol in x: the best
     (x, f(x)) seen, starting from `best` when given."""
     c = hi - _INV_PHI * (hi - lo)
@@ -192,28 +131,63 @@ def _golden_max(f, lo: float, hi: float, tol=_AY_TOL, best=None) -> tuple[float,
     return best_x, best_f
 
 
-def _witness_from_ay(ay: float, hats: HatParams) -> KrausCoefficients:
-    """Attack element achieving the branch objective at |a_Y| = ay.
+def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f between lo and hi with f(lo) > 0 >= f(hi), to tol in x.
 
-    The branch value solves the squared constraint, which the original
-    equation enters either as u + v or as |u - v| (u = |a_X|, v = |a_I|);
-    the a_I phase is picked to match whichever sign holds, so the witness
-    reproduces (e_b, alpha) exactly in both cases.
+    lo may lie above hi; each step keeps the half where f changes sign.
     """
-    z = az_branch(ay, hats)
-    if z is None:
-        raise ValueError(f"infeasible |a_Y|={ay}")
-    v = math.sqrt(max(hats.eb_hat - z * z, 0.0))
-    u = math.sqrt(max(1.0 - ay * ay, 0.0))
-    rhs = math.sqrt(hats.alpha_hat) * abs(ay - z)
-    scale = max(1.0, rhs)
-    if abs(u + v - rhs) <= 1e-9 * scale:
-        return KrausCoefficients(v, u, ay, 1j * z)
-    if abs(abs(u - v) - rhs) <= 1e-9 * scale:
-        return KrausCoefficients(-v, u, ay, 1j * z)
-    raise RuntimeError(
-        f"branch value at |a_Y|={ay} solves neither constraint sign"
-    )
+    for _ in range(_MAX_BISECT):
+        if abs(hi - lo) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class _Angles:
+    """h(v) and the attack at v for one (eb_hat, alpha_hat), in angle form."""
+
+    def __init__(self, hats: HatParams):
+        self.eb_hat = hats.eb_hat
+        self.gamma = math.atan(1.0 / math.sqrt(hats.alpha_hat))
+        self.sin_g = math.sin(self.gamma)
+        self.cos_g = math.cos(self.gamma)
+
+    def h(self, v: float) -> float:
+        """|a_Z|^2 + |a_Y|^2 of the aligned attack at v."""
+        s = math.sin(v)
+        az = s * self.cos_g + self.sin_g * math.sqrt(self.eb_hat - s * s)
+        ay = s * self.cos_g - math.cos(v) * self.sin_g
+        return az * az + ay * ay
+
+    def maximize(self) -> tuple[float, float]:
+        """(v, h(v)) at the maximum of h on [gamma, gamma + pi/2]."""
+        lo, hi = self.gamma, self.gamma + 0.5 * math.pi
+        ends = max((lo, self.h(lo)), (hi, self.h(hi)), key=lambda p: p[1])
+        return _golden_max(self.h, lo, hi, _V_TOL, ends)
+
+    def witness(self, v: float) -> KrausCoefficients:
+        """The aligned attack at v, which attains e_p = e_b * h(v)."""
+        s = math.sin(v)
+        root = math.sqrt(self.eb_hat - s * s)
+        return KrausCoefficients(
+            root * self.cos_g - s * self.sin_g,
+            math.cos(v - self.gamma),
+            math.sin(v - self.gamma),
+            1j * (s * self.cos_g + self.sin_g * root),
+        )
+
+    def crossing(self, e_b: float, v_star: float) -> float | None:
+        """v with e_b * h(v) = 1/2 on the way from the maximizer v_star to an
+        endpoint below the cap; None when both endpoints are above it."""
+        excess = lambda v: EP_CAP - e_b * self.h(v)
+        for end in (self.gamma, self.gamma + 0.5 * math.pi):
+            if excess(end) >= 0.0:
+                return _bisect_root(excess, end, v_star, _CROSS_TOL)
+        return None
 
 
 def _capped_witness(hats: HatParams) -> tuple[float, KrausCoefficients] | None:
@@ -276,67 +250,35 @@ def _limiting_case(e_b: float, alpha: float) -> BoundResult:
     return BoundResult(ep, ay, w, "limiting", 2.0 * e_b)
 
 
-def _refine(
-    e_b: float, alpha: float, hats: HatParams, i: int, grid_val: float
-) -> tuple[float, float]:
-    """Uncapped maximum of the objective and the |a_Y| attaining it, from
-    the grid maximum (i, grid_val) of `_grid_max`, by golden section between
-    its grid neighbours.  DomainError if no |a_Y| was feasible."""
-    i, grid_val = int(i), float(grid_val)
-    if not math.isfinite(grid_val):
-        raise DomainError(
-            f"no feasible |a_Y| for (e_b, alpha)=({e_b}, {alpha}): "
-            "rates too small, (1 - e_b) / (e_b * alpha) overflows"
-        )
-    lo = _AY[max(i - 1, 0)]
-    hi = _AY[min(i + 1, _SCAN_POINTS - 1)]
-    ay_star, val = _golden_max(
-        lambda y: _objective(y, hats, e_b), float(lo), float(hi)
-    )
-    if grid_val > val:
-        ay_star, val = float(_AY[i]), grid_val
-    return val, ay_star
-
-
-def _maximize(e_b: float, alpha: float) -> tuple[float, float, HatParams]:
-    """Uncapped maximum of the objective, the |a_Y| attaining it, and the hats.
-
-    Needs e_b and alpha in (0, 1/2]; DomainError if no |a_Y| is feasible.
-    """
-    hats = HatParams.from_rates(e_b, alpha)
-    found = _grid_max(hats.eb_hat, hats.alpha_hat, e_b)
-    return (*_refine(e_b, alpha, hats, *found), hats)
-
-
 def exact_bound(e_b: float, alpha: float) -> BoundResult:
-    """Tight phase-error bound by 1-D maximization over |a_Y|.
+    """Tight phase-error bound by 1-D maximization over the angle v.
 
-    Two-level grid scan and golden-section refine (`_maximize`), capped
-    at 1/2.  When the cap binds, ay_star/witness are replaced by an
-    attack with e_p exactly 1/2 so that the witness still reproduces
-    (e_b, alpha, ep_max).  Callers that need only the value should use
-    `exact_ep`, which skips the witness.
+    Capped at 1/2.  When the cap binds, ay_star/witness are replaced by an
+    attack with e_p exactly 1/2 (`_capped_witness`, else the aligned
+    crossing) so that the witness still reproduces (e_b, alpha, ep_max).
+    Callers that need only the value should use `exact_ep`, which skips
+    the witness.  DomainError outside [0, 1/2]^2 or for a subnormal rate.
     """
     _check_domain(e_b, alpha)
     if e_b == 0.0 or alpha == 0.0:
         return _limiting_case(e_b, alpha)
 
-    val, ay_star, hats = _maximize(e_b, alpha)
+    hats = HatParams.from_rates(e_b, alpha)
+    angles = _Angles(hats)
+    v_star, h_max = angles.maximize()
+    val = e_b * h_max
     if val <= EP_CAP:
-        return BoundResult(
-            val, ay_star, _witness_from_ay(ay_star, hats), "exact", val
-        )
+        witness = angles.witness(v_star)
+        return BoundResult(val, witness.a_Y, witness, "exact", val)
     capped = _capped_witness(hats)
     if capped is None:
-        # Reached when the 2001-point grid in _capped_witness finds no
-        # feasible |a_Y|: for e_b > 1/4 with alpha below about 1e-8 to
-        # 3e-8 (e.g. at (0.3, 1e-8); 53 of the 2704 points of a 52x52 log
-        # grid over [1e-15, 1/2]^2), and now and then just above the cap
-        # elsewhere (e.g. at (0.2407, 6.9e-4)).  The maximizer is kept as
-        # witness, so its e_p is ep_uncapped, not the reported cap.
-        return BoundResult(
-            EP_CAP, ay_star, _witness_from_ay(ay_star, hats), "exact", val
-        )
+        v_cap = angles.crossing(e_b, v_star)
+        if v_cap is None:
+            raise DomainError(
+                f"no attack with e_p = 1/2 found at (e_b, alpha)=({e_b}, {alpha})"
+            )
+        witness = angles.witness(v_cap)
+        capped = witness.a_Y, witness
     y_cap, witness = capped
     return BoundResult(EP_CAP, y_cap, witness, "exact", val)
 
@@ -360,40 +302,8 @@ def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
     """
     val = _axis_ep(e_b, alpha)
     if val is None:
-        val = _maximize(e_b, alpha)[0]
+        val = e_b * _Angles(HatParams.from_rates(e_b, alpha)).maximize()[1]
     return min(val, EP_CAP) if capped else val
-
-
-def exact_ep_many(
-    e_bs: Iterable[float], alphas: Iterable[float], capped: bool = True
-) -> list[float]:
-    """`exact_ep` at each point (e_bs[k], alphas[k]), bit for bit.
-
-    Checks every point's domain first, then scans the interior points in
-    blocks of up to _BLOCK with one 2-D `_grid_max` each, and refines each
-    point as `exact_ep` does.  For sweeps with many points at once, where
-    it saves the per-point cost of the numpy calls.  DomainError if any
-    point is outside [0, 1/2]^2 or too small to bound, ValueError if the
-    two sequences differ in length.
-    """
-    vals, inner = [], []
-    for e_b, alpha in zip(e_bs, alphas, strict=True):
-        e_b, alpha = float(e_b), float(alpha)
-        vals.append(_axis_ep(e_b, alpha))
-        if vals[-1] is None:
-            hats = HatParams.from_rates(e_b, alpha)
-            inner.append((len(vals) - 1, e_b, alpha, hats))
-    for start in range(0, len(inner), _BLOCK):
-        block = inner[start : start + _BLOCK]
-        # (B, 1) columns of eb_hat, alpha_hat and e_b
-        columns = np.array([(h.eb_hat, h.alpha_hat, e) for _, e, _, h in block])
-        # Overflow of eb_hat * (1 + alpha_hat) is silent in the scalar path
-        # (Python floats) and is what _refine reports as a DomainError.
-        with np.errstate(over="ignore"):
-            found = _grid_max(*columns.T[:, :, None])
-        for (k, e, a, hats), i, g in zip(block, *(f.tolist() for f in found)):
-            vals[k] = _refine(e, a, hats, i, g)[0]
-    return [min(v, EP_CAP) if capped else v for v in vals]
 
 
 def approx_bound(e_b: float, alpha: float, capped: bool = True) -> float:

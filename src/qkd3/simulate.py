@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .errors import InsufficientSiftError
 
 _N_SUBSTREAMS = 3
 _SIGMA_FACTOR = 5.0  # deviation flag threshold, in binomial sigmas
+_ROUNDS_LIMIT = 2.0**63  # 8N(1+delta) must stay below: multinomial takes int64 counts
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class SimConfig:
             raise ValueError("N must be >= 1")
         if self.delta <= 0.0:
             raise ValueError("delta must be > 0")
+        if not 8 * self.N * (1.0 + self.delta) < _ROUNDS_LIMIT:
+            raise ValueError("8N(1+delta) rounds must be below 2^63")
 
 
 @dataclass(frozen=True)
@@ -152,26 +154,3 @@ def azuma_check(stats: ProtocolStats, attack: KrausCoefficients) -> AzumaReport:
         within_no_error=dev_err <= thr,
         alpha_gap=abs(stats.observed_alpha - alpha),
     )
-
-
-class SplitRates(NamedTuple):
-    rate_check: float
-    rate_data: float
-    gap: float
-
-
-def sampling_check(z_outcomes: Sequence[int], seed: int) -> SplitRates:
-    """Random-split agreement test on a 2N error-indicator sequence.
-
-    Splits the sequence into two seeded uniform halves and returns both
-    error rates and their absolute gap.
-    """
-    arr = np.asarray(z_outcomes)
-    if arr.ndim != 1 or len(arr) % 2 != 0:
-        raise ValueError("z_outcomes must be a flat sequence of even length")
-    half = len(arr) // 2
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    order = rng.permutation(len(arr))
-    rate_check = float(arr[order[:half]].mean())
-    rate_data = float(arr[order[half:]].mean())
-    return SplitRates(rate_check, rate_data, abs(rate_check - rate_data))

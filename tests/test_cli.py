@@ -56,10 +56,14 @@ class TestBound:
         assert "domain error" in err
 
     def test_tiny_rates_exit_code(self, capsys):
-        # (1 - e_b) / (e_b * alpha) overflows: a domain error, not a traceback
-        code, _, err = run_cli(capsys, "bound", "--eb", "1e-300", "--alpha", "1e-300")
-        assert code == 3
-        assert "domain error" in err
+        # a subnormal rate's odds ratio overflows: a domain error with no
+        # warnings, not a traceback
+        for eb, alpha in [("0.3", "5e-324"), ("5e-324", "0.5")]:
+            code, out, err = run_cli(capsys, "bound", "--eb", eb, "--alpha", alpha)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("qkd3: domain error:")
+            assert err.count("\n") == 1
 
 
 class TestFig1:
@@ -82,9 +86,27 @@ class TestFig1:
             assert ex <= ap + 1e-9 <= sb + 2e-9
 
     def test_tiny_rates_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "fig1", "--eb-max", "1e-300", "--steps", "3")
+        # the row at 5e-324 has subnormal rates
+        code, out, err = run_cli(capsys, "fig1", "--eb-max", "1e-323", "--steps", "3")
         assert code == 3
-        assert "domain error" in err
+        assert out == ""
+        assert err.startswith("qkd3: domain error:")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", ["fig1", "region"])
+def test_steps_capped_before_any_row(capsys, monkeypatch, subcommand):
+    import qkd3.cli
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("row computed before the --steps check")
+
+    monkeypatch.setattr(qkd3.cli, "exact_ep", no_rows)
+    monkeypatch.setattr(qkd3.cli, "secure_region_frontier", no_rows)
+    code, out, err = run_cli(capsys, subcommand, "--steps", "100000000")
+    assert code == 3
+    assert out == ""
+    assert err == f"qkd3: domain error: --steps must be in [2, {qkd3.cli._MAX_ROWS}]\n"
 
 
 class TestRegion:
@@ -219,7 +241,7 @@ class TestOutputPinned:
 
     PINNED = {
         ("bound", "--eb", "0.05", "--alpha", "0.05"):
-            "b7cec7e1ac566b676b8591dc5fdd4f364a8e63d30e8fa0600b621e3c5432fca0",
+            "a13d87f93aff7c24727b7f83812befdba046ed00c4ac386cd4e4614c5e198cc1",
         ("bound", "--eb", "0.3", "--alpha", "0.3"):
             "0e1ea8d860609b7b9ec0fd597462c91ca2278050d472761869c33848b36ca07c",
         ("fig1",):

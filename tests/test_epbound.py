@@ -5,21 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkd3.errors
 from qkd3 import (
     DomainError,
     HatParams,
     approx_bound,
-    az_branch,
     exact_bound,
     exact_ep,
-    exact_ep_many,
     random_attack,
     rates_from_ensemble,
     simple_bound,
 )
-from qkd3.epbound import _BLOCK, _grid_max, _scan
 
 rate = st.floats(min_value=1e-4, max_value=0.5, allow_nan=False)
+LOG_HALF = math.log10(0.5)
+QKD3_ERRORS = tuple(
+    v
+    for v in vars(qkd3.errors).values()
+    if isinstance(v, type) and v.__module__ == "qkd3.errors"
+)
+
+
+def az_branch(ay: float, hats) -> float | None:
+    """|a_Z| on the (+ + -) root branch at |a_Y| = ay, or None if infeasible.
+
+    The |a_Y| form of the bound, kept here as the angle form's oracle:
+    eliminating |a_I| and |a_X| from the constraints leaves a quartic in
+    |a_Z| whose relevant root this is.  Infeasible when the inner
+    radicand is negative (the pre-squaring constraint has no solution
+    there) or when |a_Z|^2 > eb_hat (which would force |a_I|^2 < 0).
+    """
+    ah, eh = hats.alpha_hat, hats.eb_hat
+    s = math.sqrt(max(ah * (1.0 - ay * ay), 0.0))
+    r = eh * (1.0 + ah) - 1.0 - ay * ay * (ah - 1.0) - 2.0 * ay * s
+    if r < 0.0:
+        return None
+    z = (ah * ay + s + math.sqrt(r)) / (1.0 + ah)
+    if z * z > eh:
+        return None
+    return z
 
 
 def brute_force_bound(e_b, alpha, n=200_001):
@@ -191,20 +215,19 @@ class TestExactEp:
     )
 
     def test_equals_exact_bound_values(self):
-        compared = 0
         for e_b in self.GRID:
             for alpha in self.GRID:
-                try:
-                    res = exact_bound(e_b, alpha)
-                except RuntimeError:
-                    # recorded witness defect at tiny alpha; the value
-                    # needs no witness, so exact_ep still returns one
-                    assert 0.0 <= exact_ep(e_b, alpha) <= 0.5
-                    continue
+                res = exact_bound(e_b, alpha)
                 assert exact_ep(e_b, alpha) == res.ep_max
                 assert exact_ep(e_b, alpha, capped=False) == res.ep_uncapped
-                compared += 1
-        assert compared >= len(self.GRID) ** 2 - 10
+
+    def test_axes(self):
+        assert [exact_ep(e, a) for e, a in [(0.0, 0.3), (0.1, 0.0), (0.3, 0.0)]] == [
+            0.3,
+            0.2,
+            0.5,
+        ]
+        assert exact_ep(0.3, 0.0, capped=False) == 0.6
 
     def test_domain_errors(self):
         for e_b, alpha in [(-0.1, 0.1), (0.6, 0.1), (0.1, 0.51), (0.1, -1.0)]:
@@ -213,64 +236,81 @@ class TestExactEp:
             with pytest.raises(DomainError):
                 exact_ep(e_b, alpha, capped=False)
 
-
-class TestGridMax:
-    """The two-level scan against the full 10 001-point scan, its oracle."""
-
-    GRID = sorted(
-        {float(x) for x in np.logspace(-15, math.log10(0.5), 56)} | {0.25, 0.5}
+    @pytest.mark.parametrize(
+        "e_b, alpha",
+        [(e, a) for e in (1e-12, 1e-6, 0.02, 0.1, 0.3) for a in (1e-12, 1e-6, 0.03, 0.2, 0.5)],
     )
-
-    @staticmethod
-    def check_same_argmax(e_b, alpha):
+    def test_at_least_dense_az_branch_grid_max(self, e_b, alpha):
+        # the angle form against the |a_Y| form on a 20 001-point grid
         h = HatParams.from_rates(e_b, alpha)
-        obj = _scan(h.eb_hat, h.alpha_hat, e_b)
-        i = int(np.argmax(obj))
-        assert _grid_max(h.eb_hat, h.alpha_hat, e_b) == (i, obj[i])
+        objective = [
+            (z * z + y * y) * e_b
+            for y in np.linspace(0.0, 1.0, 20_001).tolist()
+            if (z := az_branch(y, h)) is not None
+        ]
+        assert exact_ep(e_b, alpha, capped=False) >= max(objective) * (1.0 - 2e-15)
 
-    def test_full_scan_argmax_on_log_grid(self):
-        for e_b in self.GRID:
-            for alpha in self.GRID:
-                self.check_same_argmax(e_b, alpha)
 
-    @given(
-        st.floats(min_value=-15.0, max_value=math.log10(0.5)),
-        st.floats(min_value=-15.0, max_value=math.log10(0.5)),
+class TestWitness:
+    """Every witness attains the bound it comes with."""
+
+    log_rate = st.floats(min_value=-15.0, max_value=LOG_HALF).map(lambda x: 10.0**x)
+    edge_rate = st.sampled_from([0.0, 0.5, 0.25, 1e-300, 1e-160, 2.3e-308, 1e-310, 5e-324])
+
+    @given(st.one_of(log_rate, edge_rate), st.one_of(log_rate, edge_rate))
+    @settings(max_examples=400, deadline=None)
+    def test_reproduces_rates_or_raises_documented_error(self, e_b, alpha):
+        try:
+            res = exact_bound(e_b, alpha)
+        except QKD3_ERRORS:
+            return
+        r = rates_from_ensemble([res.witness])
+        assert abs(r.e_b - e_b) <= 1e-9
+        assert abs(r.alpha - alpha) <= 1e-9
+        assert abs(r.e_p - res.ep_max) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "point",
+        # points where the |a_Y| grid of _capped_witness finds nothing
+        [(0.3, 1e-8), (0.2407, 6.9e-4), (0.3, 1e-15), (0.5, 1e-10)],
+        ids=str,
     )
-    @settings(max_examples=300, deadline=None)
-    def test_full_scan_argmax_log_uniform(self, log_eb, log_alpha):
-        self.check_same_argmax(10.0**log_eb, 10.0**log_alpha)
+    def test_capped_aligned_crossing(self, point):
+        res = exact_bound(*point)
+        assert res.ep_max == 0.5 < res.ep_uncapped
+        r = rates_from_ensemble([res.witness])
+        assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, 0.5), rel=1e-12)
 
     # exact_ep (capped, uncapped) and exact_bound's (ep_max, ep_uncapped,
-    # ay_star, method, witness) as computed by the full scan
+    # ay_star, method, witness), recorded from the angle form
     PINNED = {
         (0.05, 0.05): (
-            "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
-            "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
-            "0x1.faa4592b0a00fp-1", "exact",
-            "3.91308250808531,0.0,0.14429216962846222,0.0,"
-            "0.9895351281202255,0.0,0.0,1.9203607173957646",
+            "0x1.dde5b0509b10ap-3", "0x1.dde5b0509b10ap-3",
+            "0x1.dde5b0509b10ap-3", "0x1.dde5b0509b10ap-3",
+            "0x1.faa4592991bc7p-1", "exact",
+            "3.9130825080420406,0.0,0.14429217080188772,0.0,"
+            "0.9895351279491188,0.0,0.0,1.9203607174839337",
         ),
         (0.3, 0.3): (
-            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce8p-1",
-            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce8p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
             "0x1.8f5c28f5c28f6p-4", "exact",
             "0.8222316002930461,0.01039769908216101,0.9952355248884557,0.0,"
             "0.0975,0.0,0.027209502216687474,1.2870198365432395",
         ),
         (0.2407, 6.9e-4): (
-            "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
-            "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
-            "0x1.fff479bfa3d56p-1", "exact",
-            "1.4411237973127209,0.0,0.013260503624800381,0.0,"
-            "0.9999120756564632,0.0,0.0,1.038128812926101",
+            "0x1.0000000000000p-1", "0x1.00083bc85da6fp-1",
+            "0x1.0000000000000p-1", "0x1.00083bc85da6fp-1",
+            "0x1.ffd83d90137a3p-1", "exact",
+            "1.441064892912931,0.0,0.02462905028698097,0.0,"
+            "0.9996966589330792,0.0,0.0,1.038210578747026",
         ),
         (0.3, 1e-8): (
-            "0x1.0000000000000p-1", "0x1.333c47e70398dp-1",
-            "0x1.0000000000000p-1", "0x1.333c47e70398dp-1",
-            "0x1.fffffff48cf22p-1", "exact",
-            "1.1546005336189178,0.0,5.1631175318781446e-05,0.0,"
-            "0.9999999986671109,0.0,0.0,1.0001154638841676",
+            "0x1.0000000000000p-1", "0x1.333c47e7071aep-1",
+            "0x1.0000000000000p-1", "0x1.333c47e7071aep-1",
+            "0x1.d3591d7bb1e08p-1", "exact",
+            "1.2246840072823995,0.0,0.4084308374417772,0.0,"
+            "0.9127892697806042,0.0,0.0,0.9129525812658932",
         ),
         (1e-15, 0.5): (
             "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
@@ -296,57 +336,21 @@ class TestGridMax:
         assert got == self.PINNED[point]
 
 
-class TestExactEpMany:
-    """The batched bound against the scalar `exact_ep`, its oracle."""
-
-    GRID = [0.0] + TestGridMax.GRID
-
-    @staticmethod
-    def check_equals_scalar(e_bs, alphas):
-        for capped in (True, False):
-            got = exact_ep_many(e_bs, alphas, capped)
-            want = [exact_ep(e, a, capped) for e, a in zip(e_bs, alphas)]
-            assert [v.hex() for v in got] == [v.hex() for v in want]
-
-    def test_equals_scalar_on_grid(self):
-        points = [(e, a) for e in self.GRID for a in self.GRID]
-        self.check_equals_scalar(*zip(*points))
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-15.0, max_value=math.log10(0.5)),
-                st.floats(min_value=-15.0, max_value=math.log10(0.5)),
-            ),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_equals_scalar_log_uniform_blocks(self, logs):
-        # up to 100 points, so blocks cross the _BLOCK-point chunking
-        assert _BLOCK < 100
-        self.check_equals_scalar(
-            [10.0**x for x, _ in logs], [10.0**y for _, y in logs]
-        )
-
-    def test_empty_and_axes(self):
-        assert exact_ep_many([], []) == []
-        assert exact_ep_many([0.0, 0.1, 0.3], [0.3, 0.0, 0.0]) == [0.3, 0.2, 0.5]
-
-    def test_domain_errors(self):
-        for e_b, alpha in [(-0.1, 0.1), (0.6, 0.1), (0.1, 0.51), (0.1, -1.0)]:
-            with pytest.raises(DomainError):
-                exact_ep_many([0.05, e_b], [0.05, alpha])
-
-
 class TestTinyRates:
-    """Where (1 - e_b) / (e_b * alpha) overflows no |a_Y| is feasible; every
-    entry point reports that as a DomainError."""
+    """Rates down to the smallest normal double get a bound and a witness;
+    a subnormal rate makes its odds ratio overflow, a DomainError."""
 
-    POINTS = [(1e-300, 1e-300), (1e-160, 1e-160), (5e-324, 0.5)]
+    @pytest.mark.parametrize("point", [(1e-300, 1e-300), (1e-160, 1e-160)], ids=str)
+    def test_witness_round_trip(self, point):
+        res = exact_bound(*point)
+        assert res.ep_max == pytest.approx(5.0 * point[0], rel=1e-12)
+        assert exact_ep(*point) == res.ep_max
+        r = rates_from_ensemble([res.witness])
+        assert (r.e_b, r.alpha, r.e_p) == pytest.approx(
+            (*point, res.ep_max), rel=1e-9
+        )
 
-    @pytest.mark.parametrize("point", POINTS, ids=str)
+    @pytest.mark.parametrize("point", [(5e-324, 0.5), (0.3, 5e-324)], ids=str)
     def test_domain_error(self, point):
         with pytest.raises(DomainError, match="overflows"):
             exact_ep(*point)
@@ -354,12 +358,10 @@ class TestTinyRates:
             exact_ep(*point, capped=False)
         with pytest.raises(DomainError, match="overflows"):
             exact_bound(*point)
-        with pytest.raises(DomainError, match="overflows"):
-            exact_ep_many([0.05, point[0]], [0.05, point[1]])
 
     def test_smallest_bounded_product(self):
         # e_b * alpha = 1e-308 still has finite odds ratios
-        assert exact_ep_many([1e-154], [1e-154]) == [exact_ep(1e-154, 1e-154)]
+        assert exact_ep(1e-154, 1e-154) == pytest.approx(5e-154, rel=1e-12)
 
 
 class TestApproxBound:

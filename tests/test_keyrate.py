@@ -140,7 +140,7 @@ class TestFrontier:
 
     @pytest.mark.parametrize("method", ["exact", "approximate", "simple"])
     def test_equals_one_lane_tolerable_eb(self, method):
-        # the lockstep bisection against tolerable_eb, one alpha at a time
+        # the frontier is tolerable_eb at each alpha of its grid
         alphas = [0.5 * i / 50 for i in range(51)]
         want = [(a, tolerable_eb(a, method)) for a in alphas]
         assert secure_region_frontier(51, method) == want

@@ -13,7 +13,6 @@ from qkd3 import (
     exact_bound,
     rates_from_ensemble,
     run_protocol,
-    sampling_check,
 )
 from qkd3.cli import main
 
@@ -72,6 +71,11 @@ class TestRunProtocol:
             SimConfig(N=0, attack=IDENTITY, seed=1)
         with pytest.raises(ValueError):
             SimConfig(N=10, attack=IDENTITY, seed=1, delta=0.0)
+        # 8N(1+delta) rounds must fit the multinomial draw's int64 count
+        for n, delta in [(2**60, 0.1), (10, math.inf), (10, math.nan)]:
+            with pytest.raises(ValueError):
+                SimConfig(N=n, attack=IDENTITY, seed=1, delta=delta)
+        SimConfig(N=2**59, attack=IDENTITY, seed=1, delta=0.1)
 
     def test_json_schema(self):
         stats = run_protocol(SimConfig(N=1_000, attack=GENERIC, seed=5))
@@ -135,6 +139,18 @@ class TestCountSampler:
         assert main(argv + ["--attack", GENERIC.serialize()]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["z_check_total"] == 10**8
 
+    @pytest.mark.parametrize(
+        "N, delta", [("2000000000000000000", "0.1"), ("1000", "1e300")]
+    )
+    def test_cli_rounds_beyond_int64_exit_code(self, capsys, N, delta):
+        # 8N(1+delta) rounds past the int64 counts the multinomial draw
+        # takes: a ValueError from SimConfig (exit 2), not an OverflowError
+        argv = ["simulate", "--N", N, "--delta", delta, "--seed", "1"]
+        assert main(argv + ["--attack", GENERIC.serialize()]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "qkd3: 8N(1+delta) rounds must be below 2^63\n"
+
 
 class TestAzumaCheck:
     def test_identity_zero_deviation(self):
@@ -174,36 +190,6 @@ class TestAzumaCheck:
         assert rep.alpha_gap == pytest.approx(
             abs(stats.observed_alpha - alpha), abs=1e-15
         )
-
-
-class TestSamplingCheck:
-    def test_all_zero(self):
-        assert sampling_check([0] * 2_000, seed=0) == (0.0, 0.0, 0.0)
-
-    def test_alternating_concentrates(self):
-        seq = [0, 1] * 10_000
-        good = sum(
-            sampling_check(seq, seed=s).gap <= 5 / math.sqrt(10_000)
-            for s in range(100)
-        )
-        assert good >= 99
-
-    def test_block_sequence_concentrates(self):
-        seq = [1] * 10_000 + [0] * 10_000
-        good = sum(
-            sampling_check(seq, seed=s).gap <= 5 / math.sqrt(10_000)
-            for s in range(100)
-        )
-        assert good >= 99
-
-    def test_rates_average_to_total(self):
-        seq = [1] * 300 + [0] * 700
-        r = sampling_check(seq, seed=4)
-        assert (r.rate_check + r.rate_data) / 2 == pytest.approx(0.3)
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            sampling_check([0, 1, 0], seed=0)
 
 
 class TestBoundAgainstSimulation:
