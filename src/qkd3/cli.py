@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .attack import KrausCoefficients
-from .decoy import GYS, channel_observables, load_channel_params, optimal_mu, phase_error_for
+from .decoy import GYS, _optimize, channel_observables, load_channel_params
 from .epbound import approx_bound, exact_bound, exact_ep, simple_bound
 from .errors import DomainError, InsufficientSiftError, SamplingError
 from .keyrate import secure_region_frontier
@@ -128,12 +128,8 @@ def cmd_decoy(args: argparse.Namespace) -> int:
     params = load_channel_params(args.params) if args.params else GYS
 
     def row(L_km: float) -> str:
-        mu, rate = optimal_mu(params, L_km, args.protocol)
+        mu, rate, ep = _optimize(params, L_km, args.protocol)
         obs = channel_observables(params, L_km, mu)
-        try:
-            ep = phase_error_for(obs, args.protocol)
-        except DomainError:
-            ep, rate = 0.5, -1.0
         vals = (L_km, mu, obs.Q_mu, obs.E_mu, obs.Q1, obs.e1, ep, max(rate, 0.0))
         return ",".join(_fmt(v) for v in vals)
 

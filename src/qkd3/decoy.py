@@ -8,6 +8,13 @@ constants, so the key rate
 
 needs no finite-decoy estimation.  For the three-state protocol e_p is
 the exact phase-error bound evaluated at (e1, e1); for BB84, e_p = e1.
+
+`optimal_mu` evaluates the model and the rate, each written once with exp
+and H2 passed in, with numpy on the 400-point mu grid only to pick the
+argmax, then refines by golden section (about 20 steps) in floats from
+the float rate there.  np.exp and np.log2 may differ from math in the
+last bit, so the refine keeps math and near-ties of the scan are ranked
+again in floats: every printed bit is the one a float scan gives.
 """
 
 from __future__ import annotations
@@ -18,14 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .epbound import _golden_max, exact_ep
+from .epbound import EP_CAP, _bisect_root, _golden_max, exact_ep
 from .errors import DomainError, NoSecureDistanceError
 from .keyrate import binary_entropy
 
 PROTOCOLS = ("three-state", "bb84")
 
-_MU_SCAN_POINTS = 400  # scan grid on (0, 1]
+_MU_GRID = np.linspace(0.0, 1.0, 401)[1:]  # scan grid on (0, 1]
 _MU_TOL = 1e-6
+# np.exp and np.log2 may differ from math in the last bit; 1 - exp(-eta*mu)
+# and H2' amplify that to at most about 5e-13 * f_ec in the rate.
+_TIE_TOL = 1e-12
 _DISTANCE_RESOLUTION_KM = 0.01
 
 
@@ -35,20 +45,20 @@ class ChannelParams:
 
     fiber_loss_db_per_km: float = 0.21
     eta_bob: float = 0.045  # receiver transmittance incl. detector efficiency
-    y0: float = 1.7e-6  # background/dark-count yield per pulse
+    y0: float = 1.7e-6  # background/dark-count yield (probability) per pulse
     e_det: float = 0.033  # misalignment error probability
     e0: float = 0.5  # error rate of background events
     f_ec: float = 1.22  # error-correction inefficiency
 
     def __post_init__(self):
-        if self.fiber_loss_db_per_km < 0 or self.y0 < 0:
-            raise ValueError("loss and dark-count yield must be nonnegative")
-        for name in ("eta_bob", "e_det", "e0"):
+        if not (0.0 <= self.fiber_loss_db_per_km < math.inf):
+            raise ValueError("loss must be finite and nonnegative")
+        for name in ("eta_bob", "y0", "e_det", "e0"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not (1.0 <= self.f_ec < math.inf):
+            raise ValueError("f_ec must be finite and >= 1")
 
 
 GYS = ChannelParams()
@@ -101,110 +111,113 @@ def transmittance(params: ChannelParams, L_km: float) -> float:
     return params.eta_bob * 10.0 ** (-params.fiber_loss_db_per_km * L_km / 10.0)
 
 
+def _model(params: ChannelParams, eta: float, mu, exp):
+    """(Q_mu, E_mu, Q1, e1) at transmittance eta for a float mu and math.exp
+    or an array of mu and np.exp; a ratio 0/0 (no clicks) is read as 0/1."""
+    detected = 1.0 - exp(-eta * mu)
+    q_mu = params.y0 + detected
+    y1 = params.y0 + eta
+    e_mu = (params.e0 * params.y0 + params.e_det * detected) / (q_mu + (q_mu == 0.0))
+    e1 = (params.e0 * params.y0 + params.e_det * eta) / (y1 + (y1 == 0.0))
+    return q_mu, e_mu, y1 * mu * exp(-mu), e1
+
+
+def _rate(params: ChannelParams, q_mu, e_mu, q1, ep: float, h2):
+    """R from the model's terms; h2 is binary_entropy or _h2_array."""
+    return -q_mu * params.f_ec * h2(e_mu) + q1 * (1.0 - binary_entropy(ep))
+
+
+def _h2_array(x: np.ndarray) -> np.ndarray:
+    """binary_entropy of an array in [0, 1]."""
+    inside = (x > 0.0) & (x < 1.0)
+    x = np.where(inside, x, 0.5)  # log2 only of interior points
+    return np.where(inside, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
+
+
 def channel_observables(
     params: ChannelParams, L_km: float, mu: float
 ) -> DecoyObservables:
     """Model observables for mean photon number mu at distance L_km."""
     if mu <= 0.0:
         raise DomainError(f"mean photon number must be positive, got {mu}")
-    eta = transmittance(params, L_km)
-    detected = 1.0 - math.exp(-eta * mu)
-    q_mu = params.y0 + detected
-    err = params.e0 * params.y0 + params.e_det * detected
-    e_mu = err / q_mu if q_mu > 0.0 else 0.0
-    y1 = params.y0 + eta
-    q1 = y1 * mu * math.exp(-mu)
-    e1 = (
-        (params.e0 * params.y0 + params.e_det * eta) / y1 if y1 > 0.0 else 0.0
-    )
-    return DecoyObservables(Q_mu=q_mu, E_mu=e_mu, Q1=q1, e1=e1)
+    return DecoyObservables(*_model(params, transmittance(params, L_km), mu, math.exp))
 
 
-def phase_error_for(obs: DecoyObservables, protocol: str) -> float:
-    """Single-photon phase error rate used in the key-rate formula."""
+def phase_error_for(e1: float, protocol: str) -> float | None:
+    """Phase error rate for the key-rate formula at single-photon error
+    rate e1; None past the three-state bound's domain (e1 > 1/2): no key."""
     if protocol == "bb84":
-        return obs.e1
+        return e1
     if protocol == "three-state":
-        if obs.e1 > 0.5:
-            raise DomainError(f"e1={obs.e1} exceeds the bound domain")
+        if e1 > 0.5:
+            return None
         # Misalignment hits the data and check states identically here,
         # so the bound is evaluated at alpha = e_b = e1.
-        return exact_ep(obs.e1, obs.e1)
+        return exact_ep(e1, e1)
     raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
 
 
 def key_rate_decoy(
     obs: DecoyObservables, params: ChannelParams, protocol: str
 ) -> float:
-    """GLLP key rate per signal pulse on the sifted key (may be negative).
-
-    Returns -inf when the three-state bound domain is exceeded (e1 > 1/2),
-    so scans can treat the point as hopeless rather than fail.
-    """
-    try:
-        ep = phase_error_for(obs, protocol)
-    except DomainError:
+    """GLLP key rate per signal pulse on the sifted key (may be negative);
+    -inf past the three-state bound's domain (e1 > 1/2): no key."""
+    ep = phase_error_for(obs.e1, protocol)
+    if ep is None:
         return -math.inf
-    return -obs.Q_mu * params.f_ec * binary_entropy(obs.E_mu) + obs.Q1 * (
-        1.0 - binary_entropy(ep)
-    )
+    return _rate(params, obs.Q_mu, obs.E_mu, obs.Q1, ep, binary_entropy)
 
 
-def _rate_vs_mu(params: ChannelParams, L_km: float, protocol: str):
-    """Closure R(mu) at fixed distance; e_p depends on L only."""
+def _optimize(
+    params: ChannelParams, L_km: float, protocol: str
+) -> tuple[float, float, float]:
+    """(mu_star, R_star, e_p) at L_km; past the three-state bound's domain
+    (e1 > 1/2) R_star is -inf at the first grid point and e_p reads 1/2."""
     eta = transmittance(params, L_km)
-    y1 = params.y0 + eta
-    e1 = (params.e0 * params.y0 + params.e_det * eta) / y1 if y1 > 0 else 0.0
-    if protocol == "three-state":
-        if e1 > 0.5:
-            return lambda mu: -math.inf
-        ep = exact_ep(e1, e1)
-    elif protocol == "bb84":
-        ep = e1
-    else:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    one_minus_h_ep = 1.0 - binary_entropy(ep)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent in floats too
+        q_mu, e_mu, q1, e1 = _model(params, eta, _MU_GRID, np.exp)
+        ep = phase_error_for(e1, protocol)
+        if ep is None:
+            return float(_MU_GRID[0]), -math.inf, EP_CAP
+        scan = _rate(params, q_mu, e_mu, q1, ep, _h2_array)
+        k = int(np.argmax(scan))
+        near = np.flatnonzero(scan >= scan[k] - _TIE_TOL * params.f_ec).tolist()
 
     def rate(mu: float) -> float:
-        detected = 1.0 - math.exp(-eta * mu)
-        q_mu = params.y0 + detected
-        err = params.e0 * params.y0 + params.e_det * detected
-        e_mu = err / q_mu if q_mu > 0.0 else 0.0
-        q1 = y1 * mu * math.exp(-mu)
-        return -q_mu * params.f_ec * binary_entropy(e_mu) + q1 * one_minus_h_ep
+        q_mu, e_mu, q1, _ = _model(params, eta, mu, math.exp)
+        return _rate(params, q_mu, e_mu, q1, ep, binary_entropy)
 
-    return rate
+    # the first best grid point by the float rate, as np.argmax of a float scan
+    near = near or [k]  # empty when the top is nan
+    rates = [rate(float(_MU_GRID[j])) for j in near]
+    best = int(np.argmax(rates))
+    i = near[best]
+    lo, hi = _MU_GRID[np.clip([i - 1, i + 1], 0, _MU_GRID.size - 1)].tolist()
+    return (*_golden_max(rate, lo, hi, _MU_TOL, (float(_MU_GRID[i]), rates[best])), ep)
 
 
 def optimal_mu(
     params: ChannelParams, L_km: float, protocol: str
 ) -> tuple[float, float]:
     """(mu_star, R_star) maximizing the key rate over mu in (0, 1]."""
-    rate = _rate_vs_mu(params, L_km, protocol)
-    grid = np.linspace(0.0, 1.0, _MU_SCAN_POINTS + 1)[1:]
-    vals = np.array([rate(float(m)) for m in grid])
-    i = int(np.argmax(vals))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    return _golden_max(rate, lo, hi, _MU_TOL, (float(grid[i]), float(vals[i])))
+    return _optimize(params, L_km, protocol)[:2]
 
 
 def max_secure_distance(params: ChannelParams, protocol: str) -> float:
-    """Largest distance (km, 0.01 resolution) with positive optimal rate."""
-    if optimal_mu(params, 0.0, protocol)[1] <= 0.0:
+    """Largest distance (km) with positive optimal rate, to 0.005 km.
+
+    Doubles a bracket from 10 km, then bisects the sign change of the
+    optimal rate to a 0.01 km bracket and returns its midpoint (GYS:
+    88.5010 km three-state, 142.2119 km BB84).
+    """
+    rate = lambda L_km: optimal_mu(params, L_km, protocol)[1]
+    if rate(0.0) <= 0.0:
         raise NoSecureDistanceError(
             f"{protocol}: key rate nonpositive already at L = 0"
         )
     lo, hi = 0.0, 10.0
-    while optimal_mu(params, hi, protocol)[1] > 0.0:
-        lo = hi
-        hi *= 2.0
+    while rate(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
         if hi > 20_000.0:
             raise RuntimeError("secure distance exceeds 20000 km; bad params?")
-    while hi - lo > _DISTANCE_RESOLUTION_KM:
-        mid = 0.5 * (lo + hi)
-        if optimal_mu(params, mid, protocol)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect_root(rate, lo, hi, _DISTANCE_RESOLUTION_KM)

@@ -57,6 +57,9 @@ from .errors import DomainError
 _V_TOL = 1e-12  # golden-section tolerance in v
 _CROSS_TOL = 1e-15  # bisection tolerance of the capped crossing in v
 _MAX_BISECT = 200
+# approx_bound and simple_bound scale the rates under their square roots by
+# 2**500 and the root back (exact), so e_b * alpha cannot underflow to 0
+_UP, _DOWN = 2.0**500, 2.0**-500
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 EP_CAP = 0.5
@@ -228,12 +231,8 @@ def _capped_witness(hats: HatParams) -> tuple[float, KrausCoefficients] | None:
 
 def _limiting_case(e_b: float, alpha: float) -> BoundResult:
     """Bounds on the axes, where the hatted parameters are undefined."""
-    if e_b == 0.0 and alpha == 0.0:
-        return BoundResult(
-            0.0, 0.0, KrausCoefficients(1.0, 0, 0, 0), "limiting", 0.0
-        )
     if e_b == 0.0:
-        # a_X = a_Y = 0 is forced, so e_p = alpha.
+        # a_X = a_Y = 0 is forced, so e_p = alpha (identity attack at alpha = 0).
         w = KrausCoefficients(math.sqrt(1.0 - alpha), 0, 0, 1j * math.sqrt(alpha))
         return BoundResult(alpha, 0.0, w, "limiting", alpha)
     # alpha = 0 forces a_Z = i*a_Y, so e_p <= 2*e_b, saturated at a_X = 0.
@@ -283,25 +282,16 @@ def exact_bound(e_b: float, alpha: float) -> BoundResult:
     return BoundResult(EP_CAP, y_cap, witness, "exact", val)
 
 
-def _axis_ep(e_b: float, alpha: float) -> float | None:
-    """Uncapped bound on the axes (`_limiting_case`'s values: e_p = alpha on
-    e_b = 0, e_p = 2*e_b on alpha = 0), None inside; checks the domain."""
-    _check_domain(e_b, alpha)
-    if e_b == 0.0:
-        return alpha
-    if alpha == 0.0:
-        return 2.0 * e_b
-    return None
-
-
 def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
     """Value of `exact_bound` without the witness.
 
     Equals exact_bound(e_b, alpha).ep_max, or .ep_uncapped with
     ``capped=False``; for sweeps that read only the value.
     """
-    val = _axis_ep(e_b, alpha)
-    if val is None:
+    _check_domain(e_b, alpha)
+    if e_b == 0.0 or alpha == 0.0:  # _limiting_case's uncapped values
+        val = alpha if e_b == 0.0 else 2.0 * e_b
+    else:
         val = e_b * _Angles(HatParams.from_rates(e_b, alpha)).maximize()[1]
     return min(val, EP_CAP) if capped else val
 
@@ -314,18 +304,13 @@ def approx_bound(e_b: float, alpha: float, capped: bool = True) -> float:
     capped at 1/2 unless ``capped=False``.
     """
     _check_domain(e_b, alpha)
-    val = (
-        alpha
-        + e_b * (2.0 - 2.0 * alpha - alpha * alpha)
-        + 2.0
-        * math.sqrt(
-            max(alpha * (1.0 - alpha) * e_b * (1.0 - e_b - e_b * alpha), 0.0)
-        )
-    )
+    a, e = alpha * _UP, e_b * _UP
+    root = math.sqrt(max(a * (1.0 - alpha) * e * (1.0 - e_b - e_b * alpha), 0.0))
+    val = alpha + e_b * (2.0 - 2.0 * alpha - alpha * alpha) + 2.0 * (root * _DOWN)
     return min(val, EP_CAP) if capped else val
 
 
 def simple_bound(e_b: float, alpha: float) -> float:
     """Small-rate bound alpha + 2*e_b + 2*sqrt(e_b*alpha)."""
     _check_domain(e_b, alpha)
-    return alpha + 2.0 * e_b + 2.0 * math.sqrt(e_b * alpha)
+    return alpha + 2.0 * e_b + 2.0 * (math.sqrt(e_b * _UP * (alpha * _UP)) * _DOWN)

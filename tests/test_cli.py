@@ -1,9 +1,16 @@
 import hashlib
+import io
 import json
 import math
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd3 import DomainError, __version__
 from qkd3.cli import _distances, main
@@ -186,6 +193,62 @@ class TestDecoy:
         assert code == 3
         assert out == ""
         assert "domain error" in err
+
+    def test_three_state_past_bound_domain_row(self, capsys, tmp_path):
+        # e1 > 1/2: no key, printed as e_p = 1/2 and R = 0 at the first mu
+        f = tmp_path / "misaligned.params"
+        f.write_text("e_det = 0.6\n")
+        code, out, err = run_cli(
+            capsys, "decoy", "--params", str(f), "--L-min", "10", "--L-max", "10",
+        )
+        assert code == 0
+        assert err == ""
+        row = [float(v) for v in out.strip().split("\n")[1].split(",")]
+        assert row[5] > 0.5
+        assert (row[1], row[6], row[7]) == (0.0025, 0.5, 0.0)
+
+
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+CHANNEL_FIELDS = {
+    "fiber_loss_db_per_km": st.sampled_from([0.0, 1.0]) | st.floats(0.0, sys.float_info.max),
+    "eta_bob": UNIT,
+    "y0": UNIT,
+    "e_det": UNIT,
+    "e0": UNIT,
+    "f_ec": st.sampled_from([1.0]) | st.floats(1.0, sys.float_info.max),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.fixed_dictionaries({}, optional=CHANNEL_FIELDS),
+    protocol=st.sampled_from(["three-state", "bb84"]),
+    L_min=st.sampled_from([0.0]) | st.floats(0.0, 1000.0),
+    L_step=st.floats(0.01, 100.0),
+    rows=st.integers(1, 20),
+)
+def test_decoy_exits_cleanly_on_any_params_file(params, protocol, L_min, L_step, rows):
+    """Every channel in the valid ranges ends in exit 0, 2 or 3 with at
+    most one `qkd3:` line on stderr: no traceback, no warning."""
+    L_max = L_min + (rows - 1) * L_step
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "channel.params"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in params.items()))
+        argv = [
+            "decoy", "--protocol", protocol, "--params", str(path),
+            "--L-min", repr(L_min), "--L-max", repr(L_max), "--L-step", repr(L_step),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+    assert caught == []
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("qkd3:"))
+    if code == 0:
+        assert 2 <= len(out.getvalue().splitlines()) <= 21
 
 
 class TestSimulate:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd3 import (
     GYS,
@@ -14,9 +17,24 @@ from qkd3 import (
     exact_bound,
     key_rate_decoy,
     load_channel_params,
+    max_secure_distance,
     optimal_mu,
 )
 from qkd3.decoy import phase_error_for, transmittance
+from qkd3.epbound import _golden_max
+
+
+def float_scan(params, L_km, protocol):
+    """optimal_mu as a plain float scan: every grid point through
+    key_rate_decoy, then the same golden-section refine."""
+    grid = np.linspace(0.0, 1.0, 401)[1:]
+    rate = lambda mu: key_rate_decoy(
+        channel_observables(params, L_km, mu), params, protocol
+    )
+    vals = [rate(float(m)) for m in grid]
+    i = int(np.argmax(vals))
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 399)])
+    return _golden_max(rate, lo, hi, 1e-6, (float(grid[i]), vals[i]))
 
 
 class TestChannelObservables:
@@ -84,6 +102,13 @@ class TestKeyRateDecoy:
         obs = DecoyObservables(Q_mu=0.01, E_mu=0.3, Q1=0.005, e1=0.6)
         assert key_rate_decoy(obs, GYS, "three-state") == -math.inf
 
+    def test_subnormal_e1_is_a_domain_error(self):
+        # the exact bound has no value there; that is not "no key"
+        obs = DecoyObservables(Q_mu=0.01, E_mu=0.03, Q1=0.005, e1=5e-324)
+        with pytest.raises(DomainError, match="overflows"):
+            key_rate_decoy(obs, GYS, "three-state")
+        assert key_rate_decoy(obs, GYS, "bb84") > 0.0
+
     def test_equal_mu_gap_identity(self):
         obs = channel_observables(GYS, 30.0, 0.4)
         gap = key_rate_decoy(obs, GYS, "bb84") - key_rate_decoy(
@@ -127,13 +152,80 @@ class TestOptimalMu:
             assert key_rate_decoy(obs, GYS, "bb84") <= r_star + 1e-12
 
 
-class TestSecureDistance:
-    # full-precision distance checks live in the acceptance suite
-    def test_blind_receiver(self):
-        from qkd3 import max_secure_distance
+class TestScanMatchesFloatScan:
+    """The numpy scan must pick the grid point a float scan picks, also
+    where np.exp and math.exp differ in the last bit of 1 - exp(-eta*mu)."""
 
+    NEAR_TIES = [
+        (
+            dict(fiber_loss_db_per_km=4.875471436327504, eta_bob=0.16699915922393796,
+                 y0=0.0, e_det=0.019453911510843858, e0=0.003947747719489949),
+            25.0,
+            (0.6410720758626484, 1.9772466449637493e-14),
+        ),
+        (
+            dict(fiber_loss_db_per_km=2.210207233739215, eta_bob=0.46086298295364136,
+                 y0=1.6848481853322542e-09, e_det=0.0, e0=1.0),
+            60.0,
+            (1.0, 6.191308250772993e-10),
+        ),
+    ]
+
+    @pytest.mark.parametrize("kwargs, L_km, expected", NEAR_TIES)
+    def test_near_ties_pinned(self, kwargs, L_km, expected):
+        params = ChannelParams(**kwargs)
+        assert optimal_mu(params, L_km, "bb84") == expected
+        assert float_scan(params, L_km, "bb84") == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        loss=st.floats(0.0, 5.0),
+        log_eta=st.floats(-14.0, 0.0),
+        y0=st.sampled_from([0.0, 1.7e-6]) | st.floats(0.0, 1e-3),
+        e_det=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        e0=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        L_km=st.floats(0.0, 400.0),
+        protocol=st.sampled_from(["bb84", "bb84", "three-state"]),
+    )
+    def test_equals_float_scan(self, loss, log_eta, y0, e_det, e0, L_km, protocol):
+        params = ChannelParams(
+            fiber_loss_db_per_km=loss, eta_bob=10.0**log_eta, y0=y0, e_det=e_det, e0=e0
+        )
+        assert optimal_mu(params, L_km, protocol) == float_scan(params, L_km, protocol)
+
+
+@pytest.mark.parametrize(
+    "kwargs, protocol, expected",
+    [
+        ({"y0": 0.0, "eta_bob": 0.0}, "three-state", (0.0025, 0.0)),
+        ({"y0": 0.0, "eta_bob": 0.0}, "bb84", (0.0025, 0.0)),
+        ({"e_det": 0.6}, "three-state", (0.0025, -math.inf)),
+        ({"e_det": 0.6}, "bb84", (0.0025, -8.229010125845124e-05)),
+        ({"y0": 0.0, "e_det": 0.0}, "three-state", (1.0, 0.01020746811212579)),
+        ({"y0": 0.0, "e_det": 0.0}, "bb84", (1.0, 0.01020746811212579)),
+        ({"e_det": 1.0, "e0": 1.0}, "three-state", (0.0025, -math.inf)),
+        ({"e_det": 1.0, "e0": 1.0}, "bb84", (1.0, 0.010208093507175782)),
+    ],
+)
+def test_degenerate_channel_pinned(kwargs, protocol, expected):
+    # Q_mu = 0 (no clicks at all), E_mu in {0, 1}, and e1 past 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_mu(ChannelParams(**kwargs), 10.0, protocol) == expected
+
+
+class TestSecureDistance:
+    # the acceptance suite checks the distances against the paper
+    def test_blind_receiver(self):
         with pytest.raises(NoSecureDistanceError):
             max_secure_distance(ChannelParams(eta_bob=0.0), "bb84")
+
+    @pytest.mark.parametrize("protocol, km", [("three-state", 88.501), ("bb84", 142.212)])
+    def test_midpoint_within_half_resolution(self, protocol, km):
+        d = max_secure_distance(GYS, protocol)
+        assert d == pytest.approx(km, abs=5e-4)
+        assert optimal_mu(GYS, d - 0.005, protocol)[1] > 0.0
+        assert optimal_mu(GYS, d + 0.005, protocol)[1] <= 0.0
 
 
 class TestParamsFile:
@@ -173,6 +265,16 @@ class TestValidation:
             ChannelParams(f_ec=0.9)
         with pytest.raises(ValueError):
             ChannelParams(e_det=1.5)
+        for bad in (
+            {"y0": 1.5},
+            {"y0": math.nan},
+            {"fiber_loss_db_per_km": math.inf},
+            {"fiber_loss_db_per_km": math.nan},
+            {"f_ec": math.inf},
+            {"f_ec": math.nan},
+        ):
+            with pytest.raises(ValueError):
+                ChannelParams(**bad)
 
     def test_bad_observables(self):
         with pytest.raises(ValueError):
@@ -180,6 +282,9 @@ class TestValidation:
 
     def test_phase_error_for_three_state_uses_bound(self):
         obs = channel_observables(GYS, 0.0, 0.5)
-        ep = phase_error_for(obs, "three-state")
+        ep = phase_error_for(obs.e1, "three-state")
         assert ep == pytest.approx(exact_bound(obs.e1, obs.e1).ep_max)
         assert ep > obs.e1
+        # past the bound's domain there is no three-state key; BB84 reads e1
+        assert phase_error_for(0.6, "three-state") is None
+        assert phase_error_for(0.6, "bb84") == 0.6

@@ -363,6 +363,15 @@ class TestTinyRates:
         # e_b * alpha = 1e-308 still has finite odds ratios
         assert exact_ep(1e-154, 1e-154) == pytest.approx(5e-154, rel=1e-12)
 
+    @pytest.mark.parametrize("point", [(1e-300, 1e-300), (1e-160, 1e-160)], ids=str)
+    def test_closed_forms_bound_exact(self, point):
+        # e_b * alpha underflows here; the closed forms must still hold
+        # their sqrt term (5e-300, not 3e-300) and stay above the exact bound
+        ep = exact_ep(*point)
+        for closed in (approx_bound(*point), simple_bound(*point)):
+            assert closed == pytest.approx(5.0 * point[0], rel=1e-12)
+            assert closed >= ep * (1.0 - 1e-12)
+
 
 class TestApproxBound:
     def test_limits(self):
