@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .epbound import EP_CAP, _bisect_root, _golden_max, exact_ep
+from .epbound import EP_CAP, _bisect_root, exact_ep
 from .errors import DomainError, NoSecureDistanceError
 from .keyrate import binary_entropy
 
@@ -37,6 +37,7 @@ _MU_TOL = 1e-6
 # and H2' amplify that to at most about 5e-13 * f_ec in the rate.
 _TIE_TOL = 1e-12
 _DISTANCE_RESOLUTION_KM = 0.01
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,29 @@ def key_rate_decoy(
     return _rate(params, obs.Q_mu, obs.E_mu, obs.Q1, ep, binary_entropy)
 
 
+def _golden_max(f, lo: float, hi: float, tol: float, best=None) -> tuple[float, float]:
+    """Golden-section maximization of f on [lo, hi] to tol in x: the best
+    (x, f(x)) seen, starting from `best` when given."""
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    best_x, best_f = best or ((c, fc) if fc >= fd else (d, fd))
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+        if fc > best_f:
+            best_x, best_f = c, fc
+        if fd > best_f:
+            best_x, best_f = d, fd
+    return best_x, best_f
+
+
 def _optimize(
     params: ChannelParams, L_km: float, protocol: str
 ) -> tuple[float, float, float]:
@@ -208,7 +232,9 @@ def max_secure_distance(params: ChannelParams, protocol: str) -> float:
 
     Doubles a bracket from 10 km, then bisects the sign change of the
     optimal rate to a 0.01 km bracket and returns its midpoint (GYS:
-    88.5010 km three-state, 142.2119 km BB84).
+    88.5010 km three-state, 142.2119 km BB84).  NoSecureDistanceError
+    when the rate is nonpositive at 0 km; DomainError when it stays
+    positive past 20 000 km (e.g. a lossless fiber).
     """
     rate = lambda L_km: optimal_mu(params, L_km, protocol)[1]
     if rate(0.0) <= 0.0:
@@ -219,5 +245,7 @@ def max_secure_distance(params: ChannelParams, protocol: str) -> float:
     while rate(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 20_000.0:
-            raise RuntimeError("secure distance exceeds 20000 km; bad params?")
+            raise DomainError(
+                f"{protocol}: key rate still positive past 20000 km"
+            )
     return _bisect_root(rate, lo, hi, _DISTANCE_RESOLUTION_KM)

@@ -25,10 +25,28 @@ and s = sin(v) the attack is, in closed form,
 and the bound is e_p = e_b * max_v h(v) with h(v) = |a_Z|^2 + |a_Y|^2.
 Every v is feasible (s <= 1 <= eb_hat).  A negative a_I is the case
 where a_I opposes a_X: the constraint then holds with |a_I + a_X| =
-||a_X| - |a_I||.  `exact_ep` finds the maximum by one
-golden-section search over v, compared with both endpoints (h peaks at
-an endpoint over much of the domain); `exact_bound` also returns the
-attack attaining it.  `approx_bound` is the closed form obtained from an
+||a_X| - |a_I||.
+
+The maximizer is a root of h'.  With R = sqrt(eb_hat - s^2),
+
+    h'(v) = 2 |a_Z| cos(v) (cos(gamma) - sin(gamma) s / R) + sin 2(v - gamma),
+
+h'(gamma) > 0 (as eb_hat >= 1 >= tan(gamma)^2, unless e_b = alpha = 1/2)
+and h'(gamma + pi/2) = -|a_Z| sin(2 gamma) (1 - sin(gamma) / R) < 0 (as
+R > sin(gamma) there, unless e_b = 1/2).  So for e_b < 1/2 the maximum
+is interior, and `exact_ep` finds it as the sign change of h' by a
+bracketed Illinois search (`_illinois_root`) to 1e-12 in v, about 9
+evaluations of h' a point.  Where the end values leave no bracket (e_b =
+1/2, up to rounding) it takes the better endpoint, and it always
+compares the root with both endpoints.  The search runs on R h'/2, which
+has the sign and roots of h' but no division: R vanishes only at e_b =
+1/2, where s rounds to 1 near v = pi/2 and h has a kink (its maximum
+there is h = 2 at v = gamma + pi/2).  That h' changes sign at most once
+on the interval, so that the root is the global maximum, is not proved
+here: tests/test_epbound.py establishes it as a Hypothesis property
+against a 4001-point grid in v over [1e-15, 1/2]^2 and its edges, with
+one case for each branch.  `exact_bound` also returns the attack
+attaining the maximum.  `approx_bound` is the closed form obtained from an
 analytic upper bound on |a_Z|, and `simple_bound` its small-rate
 simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
@@ -54,13 +72,12 @@ import numpy as np
 from .attack import KrausCoefficients
 from .errors import DomainError
 
-_V_TOL = 1e-12  # golden-section tolerance in v
+_V_TOL = 1e-12  # root-search tolerance in v
 _CROSS_TOL = 1e-15  # bisection tolerance of the capped crossing in v
 _MAX_BISECT = 200
 # approx_bound and simple_bound scale the rates under their square roots by
 # 2**500 and the root back (exact), so e_b * alpha cannot underflow to 0
 _UP, _DOWN = 2.0**500, 2.0**-500
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 EP_CAP = 0.5
 
@@ -111,29 +128,6 @@ def _check_domain(e_b: float, alpha: float) -> None:
         )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float, best=None) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi] to tol in x: the best
-    (x, f(x)) seen, starting from `best` when given."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_f = best or ((c, fc) if fc >= fd else (d, fd))
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
     """Root of f between lo and hi with f(lo) > 0 >= f(hi), to tol in x.
 
@@ -148,6 +142,43 @@ def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _illinois_root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """Sign change of f in [a, b], a < b, with fa = f(a) > 0 > fb = f(b), to tol.
+
+    Illinois steps (regula falsi that halves the stored value at an end
+    kept twice; Dowell and Jarratt, BIT 11, 1971), each at least tol/2
+    inside the bracket so that it closes, and a bisection step whenever
+    two steps have not halved the bracket.
+    """
+    kept = 0  # +1 after a step replaced a, -1 after one replaced b
+    width = prev = math.inf  # bracket widths one and two steps back
+    half = 0.5 * tol
+    while b - a > tol:
+        if b - a > 0.5 * prev:
+            c = 0.5 * (a + b)
+        else:
+            c = b - fb * (b - a) / (fb - fa)
+            if c < a + half:
+                c = a + half
+            elif c > b - half:
+                c = b - half
+        prev, width = width, b - a
+        fc = f(c)
+        if fc > 0.0:
+            a, fa = c, fc
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        elif fc < 0.0:
+            b, fb = c, fc
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        else:
+            return c
+    return 0.5 * (a + b)
 
 
 class _Angles:
@@ -166,11 +197,27 @@ class _Angles:
         ay = s * self.cos_g - math.cos(v) * self.sin_g
         return az * az + ay * ay
 
+    def slope(self, v: float) -> float:
+        """R * h'(v) / 2 with R = sqrt(eb_hat - s^2), s = sin(v): the sign
+        and roots of h'(v), and no division, so finite where R = 0."""
+        s, c = math.sin(v), math.cos(v)
+        root = math.sqrt(self.eb_hat - s * s)
+        az = s * self.cos_g + self.sin_g * root
+        ay = s * self.cos_g - c * self.sin_g
+        ax = c * self.cos_g + s * self.sin_g
+        return az * c * (self.cos_g * root - self.sin_g * s) + ay * ax * root
+
     def maximize(self) -> tuple[float, float]:
         """(v, h(v)) at the maximum of h on [gamma, gamma + pi/2]."""
         lo, hi = self.gamma, self.gamma + 0.5 * math.pi
-        ends = max((lo, self.h(lo)), (hi, self.h(hi)), key=lambda p: p[1])
-        return _golden_max(self.h, lo, hi, _V_TOL, ends)
+        h_lo, h_hi = self.h(lo), self.h(hi)
+        best = (hi, h_hi) if h_hi > h_lo else (lo, h_lo)
+        f_lo, f_hi = self.slope(lo), self.slope(hi)
+        if f_lo <= 0.0 or f_hi >= 0.0:
+            return best
+        v = _illinois_root(self.slope, lo, f_lo, hi, f_hi, _V_TOL)
+        h_v = self.h(v)
+        return (v, h_v) if h_v > best[1] else best
 
     def witness(self, v: float) -> KrausCoefficients:
         """The aligned attack at v, which attains e_p = e_b * h(v)."""

@@ -219,6 +219,23 @@ CHANNEL_FIELDS = {
 }
 
 
+def run_quietly(argv: list[str]) -> tuple[int, str, list[str]]:
+    """(exit code, stdout, stderr lines) of main(argv); fails on any warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert caught == []
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def assert_clean_exit(code: int, lines: list[str]) -> None:
+    """A documented exit code and at most one `qkd3:` line: no traceback."""
+    assert code in (0, 2, 3, 4)
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("qkd3:"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     params=st.fixed_dictionaries({}, optional=CHANNEL_FIELDS),
@@ -231,7 +248,6 @@ def test_decoy_exits_cleanly_on_any_params_file(params, protocol, L_min, L_step,
     """Every channel in the valid ranges ends in exit 0, 2 or 3 with at
     most one `qkd3:` line on stderr: no traceback, no warning."""
     L_max = L_min + (rows - 1) * L_step
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "channel.params"
         path.write_text("".join(f"{k} = {v!r}\n" for k, v in params.items()))
@@ -239,16 +255,41 @@ def test_decoy_exits_cleanly_on_any_params_file(params, protocol, L_min, L_step,
             "decoy", "--protocol", protocol, "--params", str(path),
             "--L-min", repr(L_min), "--L-max", repr(L_max), "--L-step", repr(L_step),
         ]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(argv)
-    assert caught == []
-    assert code in (0, 2, 3)
-    lines = err.getvalue().splitlines()
-    assert lines == [] or (len(lines) == 1 and lines[0].startswith("qkd3:"))
+        code, out, lines = run_quietly(argv)
+    assert_clean_exit(code, lines)
+    assert code != 4
     if code == 0:
-        assert 2 <= len(out.getvalue().splitlines()) <= 21
+        assert 2 <= len(out.splitlines()) <= 21
+
+
+# any float argparse accepts, with the domain's edges; passed as --opt=VALUE
+# so that a negative value is not read as an option
+ANY_FLOAT = st.floats() | st.sampled_from([0.0, 0.25, 0.5, 1e-15, 2.3e-308, 5e-324])
+# --steps outside [2, 10**6] is rejected up front; inside, rows stay cheap
+ANY_STEPS = st.integers(-3, 60) | st.sampled_from([10**6 + 1, 2**63])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    argv=st.one_of(
+        st.tuples(ANY_FLOAT, ANY_FLOAT).map(
+            lambda p: ["bound", f"--eb={p[0]!r}", f"--alpha={p[1]!r}"]
+        ),
+        st.tuples(ANY_FLOAT, ANY_STEPS).map(
+            lambda p: ["fig1", f"--eb-max={p[0]!r}", f"--steps={p[1]}"]
+        ),
+        st.tuples(st.sampled_from(["exact", "approx", "simple"]), ANY_STEPS).map(
+            lambda p: ["region", f"--method={p[0]}", f"--steps={p[1]}"]
+        ),
+    )
+)
+def test_bound_fig1_region_exit_cleanly_on_any_arguments(argv):
+    """bound, fig1 and region end in a documented exit code with at most
+    one `qkd3:` line on stderr for every value their options parse to."""
+    code, out, lines = run_quietly(argv)
+    assert_clean_exit(code, lines)
+    if code == 0:
+        assert lines == [] and out
 
 
 class TestSimulate:
@@ -304,7 +345,7 @@ class TestOutputPinned:
 
     PINNED = {
         ("bound", "--eb", "0.05", "--alpha", "0.05"):
-            "a13d87f93aff7c24727b7f83812befdba046ed00c4ac386cd4e4614c5e198cc1",
+            "5106fdb29ef557e09fa44f978fa81228f83ad29d6fc7a235f2524065afa0cf71",
         ("bound", "--eb", "0.3", "--alpha", "0.3"):
             "0e1ea8d860609b7b9ec0fd597462c91ca2278050d472761869c33848b36ca07c",
         ("fig1",):

@@ -20,8 +20,7 @@ from qkd3 import (
     max_secure_distance,
     optimal_mu,
 )
-from qkd3.decoy import phase_error_for, transmittance
-from qkd3.epbound import _golden_max
+from qkd3.decoy import _golden_max, phase_error_for, transmittance
 
 
 def float_scan(params, L_km, protocol):
@@ -219,6 +218,12 @@ class TestSecureDistance:
     def test_blind_receiver(self):
         with pytest.raises(NoSecureDistanceError):
             max_secure_distance(ChannelParams(eta_bob=0.0), "bb84")
+
+    @pytest.mark.parametrize("protocol", ["three-state", "bb84"])
+    def test_lossless_fiber_is_a_domain_error(self, protocol):
+        # the rate never turns nonpositive, so the bracket outgrows 20 000 km
+        with pytest.raises(DomainError, match="past 20000 km"):
+            max_secure_distance(ChannelParams(fiber_loss_db_per_km=0.0), protocol)
 
     @pytest.mark.parametrize("protocol, km", [("three-state", 88.501), ("bb84", 142.212)])
     def test_midpoint_within_half_resolution(self, protocol, km):

@@ -16,6 +16,7 @@ from qkd3 import (
     rates_from_ensemble,
     simple_bound,
 )
+from qkd3.epbound import _Angles, _illinois_root
 
 rate = st.floats(min_value=1e-4, max_value=0.5, allow_nan=False)
 LOG_HALF = math.log10(0.5)
@@ -251,6 +252,95 @@ class TestExactEp:
         assert exact_ep(e_b, alpha, capped=False) >= max(objective) * (1.0 - 2e-15)
 
 
+def grid_h_max(e_b: float, alpha: float, n: int = 4001) -> float:
+    """max of e_b * h(v) on an n-point grid over [gamma, gamma + pi/2],
+    straight from the angle-form formulas."""
+    eb_hat = (1.0 - e_b) / e_b
+    gamma = math.atan(math.sqrt(alpha / (1.0 - alpha)))
+    v = np.linspace(gamma, gamma + 0.5 * math.pi, n)
+    s = np.sin(v)
+    az = s * math.cos(gamma) + math.sin(gamma) * np.sqrt(np.maximum(eb_hat - s * s, 0.0))
+    return float((e_b * (az * az + np.sin(v - gamma) ** 2)).max())
+
+
+class TestMaximizer:
+    """The root search on h' finds the global maximum of h: h' changes sign
+    at most once on [gamma, gamma + pi/2], which the property below tests
+    against a dense grid in v, with one case per branch of `maximize`."""
+
+    log_rate = st.floats(min_value=-15.0, max_value=LOG_HALF).map(lambda x: 10.0**x)
+    edge_rate = st.sampled_from([0.5, 0.25, 1e-15])
+
+    @staticmethod
+    def angles(e_b, alpha):
+        a = _Angles(HatParams.from_rates(e_b, alpha))
+        return a, a.gamma, a.gamma + 0.5 * math.pi
+
+    @given(st.one_of(log_rate, edge_rate), st.one_of(log_rate, edge_rate))
+    @settings(max_examples=400, deadline=None)
+    def test_at_least_grid_max(self, e_b, alpha):
+        grid = grid_h_max(e_b, alpha)
+        assert exact_ep(e_b, alpha, capped=False) >= grid * (1.0 - 1e-12)
+
+    def test_interior_root(self):
+        a, lo, hi = self.angles(0.05, 0.05)
+        assert a.slope(lo) > 0.0 > a.slope(hi)
+        v, h = a.maximize()
+        assert lo < v < hi
+        assert a.slope(v - 1e-9) > 0.0 > a.slope(v + 1e-9)
+        assert 0.05 * h >= grid_h_max(0.05, 0.05)
+
+    def test_endpoint_maximum(self):
+        # at e_b = 1/2, h'(gamma + pi/2) is 0 up to rounding and h peaks at
+        # that endpoint with h = 2; where the rounded h' there is >= 0 no
+        # bracket exists and maximize returns the endpoint itself
+        endpoint_branch = 0
+        for alpha in np.linspace(0.01, 0.5, 20).tolist():
+            a, lo, hi = self.angles(0.5, alpha)
+            v, h = a.maximize()
+            assert h == pytest.approx(2.0, rel=1e-15)
+            assert v == pytest.approx(hi, abs=1e-9)
+            if a.slope(hi) >= 0.0:
+                endpoint_branch += 1
+                assert (v, h) == (hi, a.h(hi))
+        assert endpoint_branch > 0
+
+    def test_kink_at_half(self):
+        # at e_b = 1/2, R = sqrt(eb_hat - sin(v)^2) is 0 at v = pi/2, where h
+        # has a kink; the search function stays finite there, and a bracket
+        # ending just left of the kink converges to it
+        a, lo, hi = self.angles(0.5, 0.25)
+        assert a.eb_hat - math.sin(0.5 * math.pi) ** 2 == 0.0
+        assert math.isfinite(a.slope(0.5 * math.pi))
+        b = 0.5 * math.pi - 1e-9
+        assert a.slope(lo) > 0.0 > a.slope(b)
+        v = _illinois_root(a.slope, lo, a.slope(lo), b, a.slope(b), 1e-12)
+        assert abs(v - 0.5 * math.pi) < 1e-7
+        assert a.h(v) == pytest.approx(2.0 * math.cos(a.gamma) ** 2, rel=1e-8)
+        for alpha in (0.5, 0.25, 1e-3, 1e-15):
+            assert exact_ep(0.5, alpha, capped=False) == pytest.approx(1.0, rel=1e-15)
+
+    def test_slope_evaluations_per_point(self):
+        # about 9 a point on average; the golden section took about 63 of h
+        count = 0
+        slope = _Angles.slope
+
+        def counted(self, v):
+            nonlocal count
+            count += 1
+            return slope(self, v)
+
+        axis = np.logspace(-15, LOG_HALF, 25).tolist()
+        _Angles.slope = counted
+        try:
+            for e_b in axis:
+                for alpha in axis:
+                    _Angles(HatParams.from_rates(e_b, alpha)).maximize()
+        finally:
+            _Angles.slope = slope
+        assert count / len(axis) ** 2 <= 12.0
+
+
 class TestWitness:
     """Every witness attains the bound it comes with."""
 
@@ -282,14 +372,15 @@ class TestWitness:
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, 0.5), rel=1e-12)
 
     # exact_ep (capped, uncapped) and exact_bound's (ep_max, ep_uncapped,
-    # ay_star, method, witness), recorded from the angle form
+    # ay_star, method, witness), recorded from the root search on h'
+    # (0.4.0)
     PINNED = {
         (0.05, 0.05): (
-            "0x1.dde5b0509b10ap-3", "0x1.dde5b0509b10ap-3",
-            "0x1.dde5b0509b10ap-3", "0x1.dde5b0509b10ap-3",
-            "0x1.faa4592991bc7p-1", "exact",
-            "3.9130825080420406,0.0,0.14429217080188772,0.0,"
-            "0.9895351279491188,0.0,0.0,1.9203607174839337",
+            "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
+            "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
+            "0x1.faa4592d86a0bp-1", "exact",
+            "3.913082508158519,0.0,0.14429216764309122,0.0,"
+            "0.9895351284097286,0.0,0.0,1.9203607172465877",
         ),
         (0.3, 0.3): (
             "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
@@ -299,18 +390,18 @@ class TestWitness:
             "0.0975,0.0,0.027209502216687474,1.2870198365432395",
         ),
         (0.2407, 6.9e-4): (
-            "0x1.0000000000000p-1", "0x1.00083bc85da6fp-1",
-            "0x1.0000000000000p-1", "0x1.00083bc85da6fp-1",
+            "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
+            "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
             "0x1.ffd83d90137a3p-1", "exact",
             "1.441064892912931,0.0,0.02462905028698097,0.0,"
             "0.9996966589330792,0.0,0.0,1.038210578747026",
         ),
         (0.3, 1e-8): (
-            "0x1.0000000000000p-1", "0x1.333c47e7071aep-1",
-            "0x1.0000000000000p-1", "0x1.333c47e7071aep-1",
-            "0x1.d3591d7bb1e08p-1", "exact",
-            "1.2246840072823995,0.0,0.4084308374417772,0.0,"
-            "0.9127892697806042,0.0,0.0,0.9129525812658932",
+            "0x1.0000000000000p-1", "0x1.333c47e7071adp-1",
+            "0x1.0000000000000p-1", "0x1.333c47e7071adp-1",
+            "0x1.d3591d7bb1e0ap-1", "exact",
+            "1.2246840072823992,0.0,0.4084308374417768,0.0,"
+            "0.9127892697806044,0.0,0.0,0.9129525812658934",
         ),
         (1e-15, 0.5): (
             "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
