@@ -20,6 +20,7 @@ again in floats: every printed bit is the one a float scan gives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,7 @@ _MU_TOL = 1e-6
 _TIE_TOL = 1e-12
 _DISTANCE_RESOLUTION_KM = 0.01
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,10 @@ def _model(params: ChannelParams, eta: float, mu, exp):
     y1 = params.y0 + eta
     e_mu = (params.e0 * params.y0 + params.e_det * detected) / (q_mu + (q_mu == 0.0))
     e1 = (params.e0 * params.y0 + params.e_det * eta) / (y1 + (y1 == 0.0))
+    if e1 < _MIN_NORMAL:
+        # a subnormal e1 has no finite odds ratio for the exact bound; at 0
+        # the rate has the same bits, as 1 - H2(e_p) rounds to 1 either way
+        e1 = 0.0
     return q_mu, e_mu, y1 * mu * exp(-mu), e1
 
 

@@ -108,6 +108,18 @@ class TestKeyRateDecoy:
             key_rate_decoy(obs, GYS, "three-state")
         assert key_rate_decoy(obs, GYS, "bb84") > 0.0
 
+    def test_subnormal_e1_from_the_channel_reads_zero(self):
+        # e0 * y0 underflows below the smallest normal double: the model
+        # gives e1 = 0, where the bound has its limiting value, not an error
+        params = ChannelParams(
+            fiber_loss_db_per_km=0.0, eta_bob=1.0, y0=1.7e-6, e_det=0.0,
+            e0=2.225073858507203e-309,
+        )
+        assert channel_observables(params, 0.0, 0.5).e1 == 0.0
+        for protocol in ("three-state", "bb84"):
+            assert optimal_mu(params, 0.0, protocol) == (1.0, 0.36788006656649236)
+            assert float_scan(params, 0.0, protocol) == (1.0, 0.36788006656649236)
+
     def test_equal_mu_gap_identity(self):
         obs = channel_observables(GYS, 30.0, 0.4)
         gap = key_rate_decoy(obs, GYS, "bb84") - key_rate_decoy(
