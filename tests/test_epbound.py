@@ -320,7 +320,7 @@ class TestMaximizer:
         for alpha in (0.5, 0.25, 1e-3, 1e-15):
             assert exact_ep(0.5, alpha, capped=False) == pytest.approx(1.0, rel=1e-15)
 
-    def test_slope_evaluations_per_point(self):
+    def test_slope_evaluations_per_point(self, monkeypatch):
         # about 9 a point on average; the golden section took about 63 of h
         count = 0
         slope = _Angles.slope
@@ -330,14 +330,11 @@ class TestMaximizer:
             count += 1
             return slope(self, v)
 
+        monkeypatch.setattr(_Angles, "slope", counted)
         axis = np.logspace(-15, LOG_HALF, 25).tolist()
-        _Angles.slope = counted
-        try:
-            for e_b in axis:
-                for alpha in axis:
-                    _Angles(HatParams.from_rates(e_b, alpha)).maximize()
-        finally:
-            _Angles.slope = slope
+        for e_b in axis:
+            for alpha in axis:
+                _Angles(HatParams.from_rates(e_b, alpha)).maximize()
         assert count / len(axis) ** 2 <= 12.0
 
 
