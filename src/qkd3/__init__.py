@@ -58,4 +58,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

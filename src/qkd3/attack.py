@@ -35,10 +35,18 @@ class KrausCoefficients:
     a_Z: complex
 
     def __post_init__(self):
-        mags = (abs(self.a_I), abs(self.a_X), abs(self.a_Y), abs(self.a_Z))
-        if not all(math.isfinite(m) for m in mags):
-            raise ValueError("Kraus coefficients must have finite magnitudes")
-        if max(mags) == 0.0:
+        amps = (self.a_I, self.a_X, self.a_Y, self.a_Z)
+        weight = 0.0
+        for a in amps:
+            weight += a.real * a.real + a.imag * a.imag
+        # every squared magnitude and interference term in the rates is at
+        # most twice the total weight; 4x keeps them finite past rounding
+        if not 4.0 * weight < math.inf:
+            raise ValueError(
+                "Kraus coefficients must be finite, with total weight "
+                "below a quarter of the largest float"
+            )
+        if not any(amps):
             raise ValueError("at least one Kraus coefficient must be nonzero")
 
     @property

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 parse error, 3 domain error, 4 simulation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,6 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was: one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkd3",

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .epbound import EP_CAP, _bisect_root, exact_ep
+from .epbound import EP_CAP, _illinois_root, exact_ep
 from .errors import DomainError, NoSecureDistanceError
 from .keyrate import binary_entropy
 
@@ -236,22 +236,29 @@ def optimal_mu(
 def max_secure_distance(params: ChannelParams, protocol: str) -> float:
     """Largest distance (km) with positive optimal rate, to 0.005 km.
 
-    Doubles a bracket from 10 km, then bisects the sign change of the
-    optimal rate to a 0.01 km bracket and returns its midpoint (GYS:
-    88.5010 km three-state, 142.2119 km BB84).  NoSecureDistanceError
-    when the rate is nonpositive at 0 km; DomainError when it stays
-    positive past 20 000 km (e.g. a lossless fiber).
+    Doubles a bracket from 10 km, then closes in on the sign change of
+    the optimal rate by the bracketed Illinois search of `epbound`, from
+    the rates at the bracket's ends, to a 0.01 km bracket and returns its
+    midpoint (GYS: 88.5009 km three-state, 142.2109 km BB84).  A rate of
+    exactly 0 (no clicks) counts as no key.  NoSecureDistanceError when
+    the rate is nonpositive at 0 km; DomainError when it stays positive
+    past 20 000 km (e.g. a lossless fiber).
     """
-    rate = lambda L_km: optimal_mu(params, L_km, protocol)[1]
-    if rate(0.0) <= 0.0:
+
+    def rate(L_km: float) -> float:
+        r = optimal_mu(params, L_km, protocol)[1]
+        return r if r != 0.0 else -math.inf  # never a root of the search
+
+    r_lo = rate(0.0)
+    if r_lo <= 0.0:
         raise NoSecureDistanceError(
             f"{protocol}: key rate nonpositive already at L = 0"
         )
     lo, hi = 0.0, 10.0
-    while rate(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
+    while (r_hi := rate(hi)) > 0.0:
+        lo, hi, r_lo = hi, 2.0 * hi, r_hi
         if hi > 20_000.0:
             raise DomainError(
                 f"{protocol}: key rate still positive past 20000 km"
             )
-    return _bisect_root(rate, lo, hi, _DISTANCE_RESOLUTION_KM)
+    return _illinois_root(rate, lo, r_lo, hi, r_hi, _DISTANCE_RESOLUTION_KM)

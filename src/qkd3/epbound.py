@@ -36,19 +36,20 @@ and h'(gamma + pi/2) = -|a_Z| sin(2 gamma) (1 - sin(gamma) / R) < 0 (as
 R > sin(gamma) there, unless e_b = 1/2).  So for e_b < 1/2 the maximum
 is interior, and `exact_ep` finds it as the sign change of h' by a
 bracketed Illinois search (`_illinois_root`) to 1e-12 in v, about 9
-evaluations of h' a point.  Where the end values leave no bracket (e_b =
-1/2, up to rounding) it takes the better endpoint, and it always
-compares the root with both endpoints.  The search runs on R h'/2, which
-has the sign and roots of h' but no division: R vanishes only at e_b =
-1/2, where s rounds to 1 near v = pi/2 and h has a kink (its maximum
-there is h = 2 at v = gamma + pi/2).  That h' changes sign at most once
-on the interval, so that the root is the global maximum, is not proved
-here: tests/test_epbound.py establishes it as a Hypothesis property
-against a 4001-point grid in v over [1e-15, 1/2]^2 and its edges, with
-one case for each branch.  `exact_bound` also returns the attack
-attaining the maximum.  `approx_bound` is the closed form obtained from an
-analytic upper bound on |a_Z|, and `simple_bound` its small-rate
-simplification alpha + 2*e_b + 2*sqrt(e_b*alpha).
+evaluations of h' a point.  At e_b = 1/2 (eb_hat = 1) the maximum is h =
+2 at v = gamma + pi/2 in closed form, with no search.  Where rounding of
+the end values leaves no bracket (e_b just below 1/2) it takes the
+better endpoint, and it always compares the root with both endpoints.
+The search runs on R h'/2, which has the sign and roots of h' but no
+division: R vanishes only at e_b = 1/2, where s rounds to 1 near v =
+pi/2 and h has a kink.  That h' changes sign at most once on the
+interval, so that the root is the global maximum, is not proved here:
+tests/test_epbound.py establishes it as a Hypothesis property against a
+4001-point grid in v over [1e-15, 1/2]^2 and its edges, with one case
+for each branch.  `exact_bound` also returns the attack attaining the
+maximum.  `approx_bound` is the closed form obtained from an analytic
+upper bound on |a_Z|, and `simple_bound` its small-rate simplification
+alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
 gives away everything, so larger values are never needed.  A capped
@@ -57,8 +58,14 @@ gives away everything, so larger values are never needed.  A capped
 it also covers alpha above about 0.35, where every aligned attack has
 e_p > 1/2.  Where its |a_Y| grid finds nothing (e_b > 1/4 with small
 alpha, where the feasible window narrows like sqrt(alpha), and now and
-then just above the cap), the aligned crossing takes over: bisecting
-e_b * h(v) = 1/2 between the maximizer and an endpoint below the cap.
+then just above the cap), the aligned crossing takes over: the same
+Illinois search, to 1e-15 in v, for e_b * h(v) = 1/2 between v = gamma,
+if it is below the cap, and the maximizer.  The other endpoint is never
+below the cap when gamma is not: as sin(gamma) <= cos(gamma), |a_Z| at
+gamma is at most |a_Z| at gamma + pi/2, where |a_Y| = 1, so h(gamma +
+pi/2) >= h(gamma) + 1.  All of the package's 1-D root searches (the
+secure-region frontier and the decoy secure distance too) use
+`_illinois_root`.
 """
 
 from __future__ import annotations
@@ -73,8 +80,7 @@ from .attack import KrausCoefficients
 from .errors import DomainError
 
 _V_TOL = 1e-12  # root-search tolerance in v
-_CROSS_TOL = 1e-15  # bisection tolerance of the capped crossing in v
-_MAX_BISECT = 200
+_CROSS_TOL = 1e-15  # root-search tolerance of the capped crossing in v
 # approx_bound and simple_bound scale the rates under their square roots by
 # 2**500 and the root back (exact), so e_b * alpha cannot underflow to 0
 _UP, _DOWN = 2.0**500, 2.0**-500
@@ -128,35 +134,19 @@ def _check_domain(e_b: float, alpha: float) -> None:
         )
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float) -> float:
-    """Root of f between lo and hi with f(lo) > 0 >= f(hi), to tol in x.
-
-    lo may lie above hi; each step keeps the half where f changes sign.
-    """
-    for _ in range(_MAX_BISECT):
-        if abs(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _illinois_root(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
     """Sign change of f in [a, b], a < b, with fa = f(a) > 0 > fb = f(b), to tol.
 
     Illinois steps (regula falsi that halves the stored value at an end
     kept twice; Dowell and Jarratt, BIT 11, 1971), each at least tol/2
     inside the bracket so that it closes, and a bisection step whenever
-    two steps have not halved the bracket.
+    two steps have not halved the bracket or an end value is infinite.
     """
     kept = 0  # +1 after a step replaced a, -1 after one replaced b
     width = prev = math.inf  # bracket widths one and two steps back
     half = 0.5 * tol
     while b - a > tol:
-        if b - a > 0.5 * prev:
+        if b - a > 0.5 * prev or fa - fb == math.inf:
             c = 0.5 * (a + b)
         else:
             c = b - fb * (b - a) / (fb - fa)
@@ -210,6 +200,8 @@ class _Angles:
     def maximize(self) -> tuple[float, float]:
         """(v, h(v)) at the maximum of h on [gamma, gamma + pi/2]."""
         lo, hi = self.gamma, self.gamma + 0.5 * math.pi
+        if self.eb_hat == 1.0:  # e_b = 1/2: |a_Z| = |a_Y| = 1 at hi, e_p = 1
+            return hi, 2.0
         h_lo, h_hi = self.h(lo), self.h(hi)
         best = (hi, h_hi) if h_hi > h_lo else (lo, h_lo)
         f_lo, f_hi = self.slope(lo), self.slope(hi)
@@ -231,13 +223,17 @@ class _Angles:
         )
 
     def crossing(self, e_b: float, v_star: float) -> float | None:
-        """v with e_b * h(v) = 1/2 on the way from the maximizer v_star to an
-        endpoint below the cap; None when both endpoints are above it."""
+        """v with e_b * h(v) = 1/2 between gamma and the maximizer v_star;
+        None when e_b * h(gamma) > 1/2.  The other endpoint never serves:
+        for alpha <= 1/2, h(gamma + pi/2) >= h(gamma) + 1."""
         excess = lambda v: EP_CAP - e_b * self.h(v)
-        for end in (self.gamma, self.gamma + 0.5 * math.pi):
-            if excess(end) >= 0.0:
-                return _bisect_root(excess, end, v_star, _CROSS_TOL)
-        return None
+        f_lo = excess(self.gamma)
+        if f_lo <= 0.0:
+            return self.gamma if f_lo == 0.0 else None
+        # excess(v_star) < 0, as e_b * h(v_star) > 1/2
+        return _illinois_root(
+            excess, self.gamma, f_lo, v_star, excess(v_star), _CROSS_TOL
+        )
 
 
 def _capped_witness(hats: HatParams) -> tuple[float, KrausCoefficients] | None:

@@ -1,7 +1,10 @@
 """Single-photon key rates and the secure-region frontier.
 
 R = 1 - H2(e_b) - H2(e_p) bits of key per sifted bit, with e_p taken
-from the exact or the closed-form approximate phase-error bound.
+from the exact or the closed-form approximate phase-error bound.  The
+thresholds are the sign change of R in e_b on [0, 1/2], found to 1e-6
+by the bracketed Illinois search of `epbound`, about 10 rate evaluations
+each.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .epbound import EP_CAP, _bisect_root, approx_bound, exact_ep, simple_bound
+from .epbound import EP_CAP, _illinois_root, approx_bound, exact_ep, simple_bound
 from .errors import DomainError
 
 _ROOT_TOL = 1e-6
@@ -56,17 +59,24 @@ def key_rate_single_photon(
     return KeyRatePoint(e_b=e_b, alpha=alpha, e_p_used=ep, R=rate)
 
 
+def _threshold(rate) -> float:
+    """Sign change of a decreasing rate on [0, 1/2], to _ROOT_TOL: 0 when
+    rate(0) <= 0, 1/2 when rate(1/2) >= 0."""
+    r_zero = rate(0.0)
+    if r_zero <= 0.0:
+        return 0.0
+    r_half = rate(0.5)
+    if r_half >= 0.0:
+        return 0.5
+    return _illinois_root(rate, 0.0, r_zero, 0.5, r_half, _ROOT_TOL)
+
+
 def tolerable_eb(alpha: float, method: str = "approximate") -> float:
     """Largest e_b with nonnegative key rate at the given alpha.
 
     Returns 0 when the rate is already nonpositive at e_b = 0.
     """
-    rate = lambda e: key_rate_single_photon(e, alpha, method).R
-    if rate(0.0) <= 0.0:
-        return 0.0
-    if rate(0.5) > 0.0:
-        return 0.5
-    return _bisect_root(rate, 0.0, 0.5, _ROOT_TOL)
+    return _threshold(lambda e: key_rate_single_photon(e, alpha, method).R)
 
 
 def tolerable_eb_equal(method: str = "approximate") -> float:
@@ -85,15 +95,12 @@ def tolerable_eb_equal(method: str = "approximate") -> float:
         raise ValueError(
             f"method must be 'exact' or 'approximate', got {method!r}"
         )
-    if rate(0.5) > 0.0:
-        return 0.5
-    return _bisect_root(rate, 0.0, 0.5, _ROOT_TOL)
+    return _threshold(rate)
 
 
 def bb84_tolerable_eb() -> float:
     """Threshold of 1 - 2*H2(e) = 0, the one-way BB84 comparison point."""
-    rate = lambda e: 1.0 - 2.0 * binary_entropy(e)
-    return _bisect_root(rate, 0.0, 0.5, _ROOT_TOL)
+    return _threshold(lambda e: 1.0 - 2.0 * binary_entropy(e))
 
 
 def secure_region_frontier(

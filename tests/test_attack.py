@@ -207,3 +207,17 @@ class TestSerialization:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             KrausCoefficients(math.inf, 0, 0, 0)
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_overflowing_weight_rejected(self, k):
+        # a squared magnitude or interference term past the largest float
+        # would raise OverflowError in rates_from_ensemble
+        for big in (1.5e308, 1e200, 1e154):
+            parts = [0.0] * 8
+            parts[k] = big
+            with pytest.raises(ValueError, match="total weight"):
+                KrausCoefficients.deserialize(",".join(map(repr, parts)))
+
+    def test_large_weight_accepted(self):
+        r = rates_from_ensemble([KrausCoefficients(1e153, 1e153, 1e153, 1e153j)])
+        assert (r.e_b, r.alpha, r.e_p) == (0.5, 0.0, 0.5)

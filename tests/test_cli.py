@@ -288,6 +288,36 @@ def test_bound_fig1_region_exit_cleanly_on_any_arguments(argv):
         assert out
 
 
+# every argument vector argparse accepts for simulate: any integers for
+# --N and --seed (past 2**63 rounds too), any float for --delta, and an
+# --attack of any floats, of any length, or any text
+SCALAR = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 1.0, 1e-200, 1e154, 1e200, 1.5e308]
+)
+ATTACK_TEXT = (
+    st.lists(SCALAR, min_size=8, max_size=8) | st.lists(ANY_FLOAT, max_size=9)
+).map(lambda v: ",".join(map(repr, v))) | st.text(max_size=24)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    N=st.integers(-3, 10**6) | st.sampled_from([2**59, 2**60, 10**30]),
+    seed=st.integers(-3, 2**64) | st.sampled_from([2**130]),
+    delta=ANY_FLOAT,
+    attack=ATTACK_TEXT,
+)
+def test_simulate_exits_cleanly_on_any_arguments(N, seed, delta, attack):
+    """simulate ends in a documented exit code with at most one `qkd3:`
+    line on stderr for every value its options parse to."""
+    argv = [
+        "simulate", f"--N={N}", f"--seed={seed}", f"--delta={delta!r}", f"--attack={attack}"
+    ]
+    code, out = run_cleanly(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert json.loads(out)["stats"]["z_check_total"] == N
+
+
 class TestSimulate:
     ATTACK = ",".join(
         repr(v)
@@ -347,11 +377,11 @@ class TestOutputPinned:
         ("fig1",):
             "c6ddb85c4cf55595b95a8fc7a3bfbc55af884f2ddc011bb398982ad48870c338",
         ("region", "--method", "exact"):
-            "a8837aaf73a8d70a19d487c8807d74ef236d115ddc76b11fe4b4759c0664c130",
+            "37d3a98a8ccf95c7625a6b80e2bc422b1d668d91ddd8f068dc1f8232d24a064e",
         ("decoy", "--protocol", "three-state"):
             "c748ebcb65efc470c38730d7255f2648133ca074052dbec3adb95f937fcc1f83",
         ("region", "--method", "exact", "--steps", "21"):
-            "c941f000fd773a9cb795fa6edcb7e2557a5e08c605260f2c0a04f722e5ea8828",
+            "97a43e55c45f7f785be84f36a53a069e99723aaf7e288cd6a8ef4cb9aa8a5d7a",
         ("fig1", "--steps", "401"):
             "21ab138de5650a10180245f6244221434b94f9bfc5e89d552c1c208d7d986e84",
         ("decoy", "--L-step", "1"):

@@ -237,12 +237,29 @@ class TestSecureDistance:
         with pytest.raises(DomainError, match="past 20000 km"):
             max_secure_distance(ChannelParams(fiber_loss_db_per_km=0.0), protocol)
 
-    @pytest.mark.parametrize("protocol, km", [("three-state", 88.501), ("bb84", 142.212)])
+    @pytest.mark.parametrize("protocol, km", [("three-state", 88.501), ("bb84", 142.211)])
     def test_midpoint_within_half_resolution(self, protocol, km):
         d = max_secure_distance(GYS, protocol)
         assert d == pytest.approx(km, abs=5e-4)
         assert optimal_mu(GYS, d - 0.005, protocol)[1] > 0.0
         assert optimal_mu(GYS, d + 0.005, protocol)[1] <= 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs, protocol",
+        [
+            # the transmittance underflows to 0 near 644 km: no clicks, and
+            # a rate of exactly 0 from there on
+            ({"fiber_loss_db_per_km": 5.0, "y0": 0.0, "e_det": 0.0}, "bb84"),
+            # e1 > 1/2 past 250 km, where the rate is -inf; the doubling
+            # bracket ends at 320 km
+            ({"eta_bob": 1.0, "e_det": 0.0, "e0": 1.0, "y0": 1e-5}, "three-state"),
+        ],
+    )
+    def test_no_key_regions_within_half_resolution(self, kwargs, protocol):
+        params = ChannelParams(**kwargs)
+        d = max_secure_distance(params, protocol)
+        assert optimal_mu(params, d - 0.005, protocol)[1] > 0.0
+        assert optimal_mu(params, d + 0.005, protocol)[1] <= 0.0
 
 
 class TestParamsFile:

@@ -291,15 +291,20 @@ class TestMaximizer:
         assert 0.05 * h >= grid_h_max(0.05, 0.05)
 
     def test_endpoint_maximum(self):
-        # at e_b = 1/2, h'(gamma + pi/2) is 0 up to rounding and h peaks at
-        # that endpoint with h = 2; where the rounded h' there is >= 0 no
-        # bracket exists and maximize returns the endpoint itself
+        # at e_b = 1/2, h peaks at the endpoint gamma + pi/2 with h = 2,
+        # returned in closed form; just below 1/2, h'(gamma + pi/2) is 0 up
+        # to rounding, and where the rounded h' there is >= 0 no bracket
+        # exists and maximize returns the endpoint itself
+        below_half = math.nextafter(0.5, 0.0)
         endpoint_branch = 0
         for alpha in np.linspace(0.01, 0.5, 20).tolist():
             a, lo, hi = self.angles(0.5, alpha)
+            assert a.maximize() == (hi, 2.0)
+            assert a.h(hi) == pytest.approx(2.0, rel=1e-15)
+            a, lo, hi = self.angles(below_half, alpha)
             v, h = a.maximize()
             assert h == pytest.approx(2.0, rel=1e-15)
-            assert v == pytest.approx(hi, abs=1e-9)
+            assert v == pytest.approx(hi, abs=1e-7)
             if a.slope(hi) >= 0.0:
                 endpoint_branch += 1
                 assert (v, h) == (hi, a.h(hi))
@@ -318,24 +323,35 @@ class TestMaximizer:
         assert abs(v - 0.5 * math.pi) < 1e-7
         assert a.h(v) == pytest.approx(2.0 * math.cos(a.gamma) ** 2, rel=1e-8)
         for alpha in (0.5, 0.25, 1e-3, 1e-15):
-            assert exact_ep(0.5, alpha, capped=False) == pytest.approx(1.0, rel=1e-15)
+            assert exact_ep(0.5, alpha, capped=False) == 1.0
 
-    def test_slope_evaluations_per_point(self, monkeypatch):
-        # about 9 a point on average; the golden section took about 63 of h
-        count = 0
+    @staticmethod
+    def count_slopes(monkeypatch) -> list[int]:
+        """A one-element list that counts the calls of _Angles.slope."""
+        count = [0]
         slope = _Angles.slope
 
         def counted(self, v):
-            nonlocal count
-            count += 1
+            count[0] += 1
             return slope(self, v)
 
         monkeypatch.setattr(_Angles, "slope", counted)
+        return count
+
+    def test_slope_evaluations_per_point(self, monkeypatch):
+        # about 9 a point on average; the golden section took about 63 of h
+        count = self.count_slopes(monkeypatch)
         axis = np.logspace(-15, LOG_HALF, 25).tolist()
         for e_b in axis:
             for alpha in axis:
                 _Angles(HatParams.from_rates(e_b, alpha)).maximize()
-        assert count / len(axis) ** 2 <= 12.0
+        assert count[0] / len(axis) ** 2 <= 12.0
+
+    def test_no_slope_evaluation_at_half(self, monkeypatch):
+        count = self.count_slopes(monkeypatch)
+        for alpha in np.logspace(-15, LOG_HALF, 200).tolist() + [0.5]:
+            _Angles(HatParams.from_rates(0.5, alpha)).maximize()
+        assert count[0] == 0
 
 
 class TestWitness:
@@ -368,9 +384,22 @@ class TestWitness:
         r = rates_from_ensemble([res.witness])
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, 0.5), rel=1e-12)
 
+    @given(
+        st.one_of(log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308])),
+        st.one_of(log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308])),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_crossing_needs_only_the_lower_endpoint(self, e_b, alpha):
+        # h(gamma + pi/2) >= h(gamma) + 1: the upper endpoint is above the
+        # cap whenever the lower one is, so `crossing` never searches from it
+        a = _Angles(HatParams.from_rates(e_b, alpha))
+        h_lo, h_hi = a.h(a.gamma), a.h(a.gamma + 0.5 * math.pi)
+        assert h_hi >= (h_lo + 1.0) * (1.0 - 1e-15)
+
     # exact_ep (capped, uncapped) and exact_bound's (ep_max, ep_uncapped,
     # ay_star, method, witness), recorded from the root search on h'
-    # (0.4.0)
+    # (0.4.0); the two aligned-crossing witnesses from its Illinois search
+    # (0.5.0)
     PINNED = {
         (0.05, 0.05): (
             "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
@@ -390,15 +419,15 @@ class TestWitness:
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
             "0x1.ffd83d90137a3p-1", "exact",
-            "1.441064892912931,0.0,0.02462905028698097,0.0,"
+            "1.441064892912931,0.0,0.02462905028698008,0.0,"
             "0.9996966589330792,0.0,0.0,1.038210578747026",
         ),
         (0.3, 1e-8): (
             "0x1.0000000000000p-1", "0x1.333c47e7071adp-1",
             "0x1.0000000000000p-1", "0x1.333c47e7071adp-1",
-            "0x1.d3591d7bb1e0ap-1", "exact",
-            "1.2246840072823992,0.0,0.4084308374417768,0.0,"
-            "0.9127892697806044,0.0,0.0,0.9129525812658934",
+            "0x1.d3591d7bb1e09p-1", "exact",
+            "1.2246840072823995,0.0,0.408430837441777,0.0,"
+            "0.9127892697806043,0.0,0.0,0.9129525812658933",
         ),
         (1e-15, 0.5): (
             "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkd3.keyrate
 from qkd3 import (
     DomainError,
     bb84_tolerable_eb,
@@ -148,3 +149,34 @@ class TestFrontier:
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             secure_region_frontier(1)
+
+    @pytest.mark.parametrize("method", ["exact", "approximate", "simple"])
+    def test_rate_evaluations_per_alpha(self, monkeypatch, method):
+        # about 10 an alpha; the bisection took 20 and more
+        count = 0
+        rate = qkd3.keyrate.key_rate_single_photon
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return rate(*args)
+
+        monkeypatch.setattr(qkd3.keyrate, "key_rate_single_photon", counted)
+        secure_region_frontier(51, method)
+        assert count / 51 <= 12.0
+
+    @given(
+        st.floats(0.0, 0.5, allow_subnormal=False)
+        | st.sampled_from([0.0, 1e-15, 0.25, 0.5]),
+        st.sampled_from(["exact", "approximate", "simple"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sign_change_within_half_tolerance(self, alpha, method):
+        # the rate is decreasing in e_b, so the returned e_b lies within
+        # 5e-7 (half the 1e-6 tolerance) of its sign change; a subnormal
+        # alpha is the exact bound's DomainError
+        r = tolerable_eb(alpha, method)
+        if r in (0.0, 0.5):
+            return
+        rate = lambda e: key_rate_single_photon(e, alpha, method).R
+        assert rate(max(r - 5e-7, 0.0)) > 0.0 >= rate(min(r + 5e-7, 0.5))
