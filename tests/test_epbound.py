@@ -384,10 +384,9 @@ class TestWitness:
         r = rates_from_ensemble([res.witness])
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, 0.5), rel=1e-12)
 
-    @given(
-        st.one_of(log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308])),
-        st.one_of(log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308])),
-    )
+    normal_rate = st.one_of(log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308]))
+
+    @given(normal_rate, normal_rate)
     @settings(max_examples=400, deadline=None)
     def test_crossing_needs_only_the_lower_endpoint(self, e_b, alpha):
         # h(gamma + pi/2) >= h(gamma) + 1: the upper endpoint is above the
