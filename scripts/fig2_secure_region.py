@@ -26,9 +26,10 @@ def main() -> None:
             "--out", str(args.out),
         ]
     )
+    method = {"exact": "exact", "approx": "approximate"}[args.method]
     print(f"wrote {args.out} (+ manifest)")
-    print(f"x-intercept (alpha = 0):   e_b = {tolerable_eb(0.0):.4f}")
-    print(f"diagonal (e_b = alpha):    e_b = {tolerable_eb_equal():.4f}")
+    print(f"x-intercept (alpha = 0):   e_b = {tolerable_eb(0.0, method):.4f}")
+    print(f"diagonal (e_b = alpha):    e_b = {tolerable_eb_equal(method):.4f}")
     print(f"BB84 one-way comparison:   e_b = {bb84_tolerable_eb():.4f}")
 
 

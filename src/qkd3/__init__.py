@@ -28,7 +28,6 @@ from .decoy import (
 )
 from .epbound import (
     BoundResult,
-    HatParams,
     approx_bound,
     exact_bound,
     exact_ep,
@@ -58,4 +57,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,6 +110,19 @@ class ErrorRates:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
+def _weights(ensemble: AttackEnsemble) -> tuple[float, float, float, float, float]:
+    """Ensemble sums of the total weight, |a_X|^2 + |a_Y|^2, |a_Z|^2 +
+    |a_Y|^2, |i a_Y - a_Z|^2 and |a_I + a_X|^2."""
+    total = bit = phase = check_err = check_ok = 0.0
+    for k in ensemble:
+        total += k.total_weight
+        bit += abs(k.a_X) ** 2 + abs(k.a_Y) ** 2
+        phase += abs(k.a_Z) ** 2 + abs(k.a_Y) ** 2
+        check_err += abs(1j * k.a_Y - k.a_Z) ** 2
+        check_ok += abs(k.a_I + k.a_X) ** 2
+    return total, bit, phase, check_err, check_ok
+
+
 def rates_from_ensemble(ensemble: AttackEnsemble) -> ErrorRates:
     """Error rates induced by an ensemble of attack elements.
 
@@ -116,23 +130,22 @@ def rates_from_ensemble(ensemble: AttackEnsemble) -> ErrorRates:
     e_p  = sum(|a_Z|^2 + |a_Y|^2) / same denominator,
     alpha = sum |i a_Y - a_Z|^2 / sum(|i a_Y - a_Z|^2 + |a_I + a_X|^2).
 
-    Raises DegenerateAttackError when either denominator vanishes.
+    The rates do not depend on the scale of the amplitudes: when the
+    total weight is below the smallest normal double, the ensemble is
+    first scaled by the exact power of two that brings its largest
+    amplitude into [1/2, 1).  Raises DegenerateAttackError when the
+    check-state denominator vanishes.
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
-    total = 0.0
-    bit = 0.0
-    phase = 0.0
-    check_err = 0.0
-    check_ok = 0.0
-    for k in ensemble:
-        total += k.total_weight
-        bit += abs(k.a_X) ** 2 + abs(k.a_Y) ** 2
-        phase += abs(k.a_Z) ** 2 + abs(k.a_Y) ** 2
-        check_err += abs(1j * k.a_Y - k.a_Z) ** 2
-        check_ok += abs(k.a_I + k.a_X) ** 2
-    if total <= 0.0:
-        raise DegenerateAttackError("zero total weight")
+    total, bit, phase, check_err, check_ok = _weights(ensemble)
+    if total < sys.float_info.min:
+        big = max(abs(a) for k in ensemble for a in (k.a_I, k.a_X, k.a_Y, k.a_Z))
+        shift = -math.frexp(big)[1]  # up to 1073: two factors, as 2**1024 overflows
+        up, rest = 2.0 ** (shift // 2), 2.0 ** (shift - shift // 2)
+        total, bit, phase, check_err, check_ok = _weights(
+            [k.scaled(up).scaled(rest) for k in ensemble]
+        )
     if check_err + check_ok <= 0.0:
         raise DegenerateAttackError("check-state probabilities sum to zero")
     return ErrorRates(

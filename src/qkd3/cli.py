@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -144,10 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig(N=args.N, attack=attack, seed=args.seed, delta=args.delta)
     stats = run_protocol(config)
     report = azuma_check(stats, attack)
-    record = {
-        "stats": json.loads(stats.to_json()),
-        "azuma": json.loads(report.to_json()),
-    }
+    record = {"stats": asdict(stats), "azuma": asdict(report)}
     _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args)
     return 0
 

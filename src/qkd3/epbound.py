@@ -53,19 +53,21 @@ alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
 gives away everything, so larger values are never needed.  A capped
-`exact_bound` still returns an attack with e_p exactly 1/2.
-`_capped_witness` runs first: it frees the two interference phases, so
-it also covers alpha above about 0.35, where every aligned attack has
-e_p > 1/2.  Where its |a_Y| grid finds nothing (e_b > 1/4 with small
-alpha, where the feasible window narrows like sqrt(alpha), and now and
-then just above the cap), the aligned crossing takes over: the same
-Illinois search, to 1e-15 in v, for e_b * h(v) = 1/2 between v = gamma,
-if it is below the cap, and the maximizer.  The other endpoint is never
-below the cap when gamma is not: as sin(gamma) <= cos(gamma), |a_Z| at
-gamma is at most |a_Z| at gamma + pi/2, where |a_Y| = 1, so h(gamma +
-pi/2) >= h(gamma) + 1.  All of the package's 1-D root searches (the
-secure-region frontier and the decoy secure distance too) use
-`_illinois_root`.
+`exact_bound` still returns an attack with e_p exactly 1/2, and its
+`ay_star` is that attack's |a_Y|.  `_capped_witness` runs first, on the
+odds ratios of the `_Angles` that found the maximum: it scans a
+2001-point |a_Y| grid with the two interference phases free, so it also
+covers alpha above about 0.35, where every aligned attack has e_p >
+1/2, and returns the first attack it finds.  Where the grid finds
+nothing (e_b > 1/4 with small alpha, where the feasible window narrows
+like sqrt(alpha), and now and then just above the cap), the aligned
+crossing takes over: the same Illinois search, to 1e-15 in v, for
+e_b * h(v) = 1/2 between v = gamma, if it is below the cap, and the
+maximizer.  The other endpoint is never below the cap when gamma is
+not: as sin(gamma) <= cos(gamma), |a_Z| at gamma is at most |a_Z| at
+gamma + pi/2, where |a_Y| = 1, so h(gamma + pi/2) >= h(gamma) + 1.  All
+of the package's 1-D root searches (the secure-region frontier and the
+decoy secure distance too) use `_illinois_root`.
 """
 
 from __future__ import annotations
@@ -89,31 +91,8 @@ EP_CAP = 0.5
 
 
 @dataclass(frozen=True)
-class HatParams:
-    """Odds ratios eb_hat = (1-e_b)/e_b and alpha_hat = (1-alpha)/alpha."""
-
-    eb_hat: float
-    alpha_hat: float
-
-    def __post_init__(self):
-        if not (1.0 <= self.eb_hat < math.inf and 1.0 <= self.alpha_hat < math.inf):
-            raise DomainError(
-                "hatted parameters require e_b and alpha in (0, 1/2] with "
-                "finite odds ratios (1 - rate) / rate; a subnormal rate overflows"
-            )
-
-    @classmethod
-    def from_rates(cls, e_b: float, alpha: float) -> "HatParams":
-        if not (0.0 < e_b <= 0.5) or not (0.0 < alpha <= 0.5):
-            raise DomainError(
-                f"(e_b, alpha)=({e_b}, {alpha}) outside (0, 1/2] x (0, 1/2]"
-            )
-        return cls((1.0 - e_b) / e_b, (1.0 - alpha) / alpha)
-
-
-@dataclass(frozen=True)
 class BoundResult:
-    """A phase-error bound with the |a_Y| and attack element achieving it.
+    """A phase-error bound with the attack element achieving it.
 
     ep_max is capped at 1/2 for reporting; ep_uncapped keeps the raw
     maximization value, which is what arbitrary attacks (whose e_p may
@@ -121,10 +100,14 @@ class BoundResult:
     """
 
     ep_max: float
-    ay_star: float
     witness: KrausCoefficients
     method: str  # "exact" | "limiting"
     ep_uncapped: float
+
+    @property
+    def ay_star(self) -> float:
+        """|a_Y| of the witness."""
+        return float(abs(self.witness.a_Y))
 
 
 def _check_domain(e_b: float, alpha: float) -> None:
@@ -172,11 +155,19 @@ def _illinois_root(f, a: float, fa: float, b: float, fb: float, tol: float) -> f
 
 
 class _Angles:
-    """h(v) and the attack at v for one (eb_hat, alpha_hat), in angle form."""
+    """h(v) and the attack at v for one (e_b, alpha) in (0, 1/2]^2, in angle
+    form, from the odds ratios eb_hat = (1-e_b)/e_b and alpha_hat =
+    (1-alpha)/alpha."""
 
-    def __init__(self, hats: HatParams):
-        self.eb_hat = hats.eb_hat
-        self.gamma = math.atan(1.0 / math.sqrt(hats.alpha_hat))
+    def __init__(self, e_b: float, alpha: float):
+        self.eb_hat = (1.0 - e_b) / e_b
+        self.alpha_hat = (1.0 - alpha) / alpha
+        if not (self.eb_hat < math.inf and self.alpha_hat < math.inf):
+            raise DomainError(
+                f"(e_b, alpha)=({e_b}, {alpha}): the odds ratio (1 - rate) / "
+                "rate of a subnormal rate overflows"
+            )
+        self.gamma = math.atan(1.0 / math.sqrt(self.alpha_hat))
         self.sin_g = math.sin(self.gamma)
         self.cos_g = math.cos(self.gamma)
 
@@ -236,15 +227,15 @@ class _Angles:
         )
 
 
-def _capped_witness(hats: HatParams) -> tuple[float, KrausCoefficients] | None:
-    """Attack element with e_p = 1/2 at the given (e_b, alpha).
+def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
+    """Attack element with e_p = 1/2 at the given (e_b, alpha), or None.
 
     Fixing |a_Y|^2 + |a_Z|^2 = (eb_hat + 1)/2 pins e_p to 1/2; the two
     interference cosines are then free to meet the alpha constraint,
     which they can whenever the attainable ranges of |a_I + a_X|^2 and
     alpha_hat * |i a_Y - a_Z|^2 overlap for some |a_Y|.
     """
-    ah, eh = hats.alpha_hat, hats.eb_hat
+    ah, eh = angles.alpha_hat, angles.eb_hat
     q = 0.5 * (eh + 1.0)  # |a_Y|^2 + |a_Z|^2 forcing e_p = 1/2
     for y in np.linspace(0.0, 1.0, 2001):
         y = float(y)
@@ -262,13 +253,12 @@ def _capped_witness(hats: HatParams) -> tuple[float, KrausCoefficients] | None:
         )
         c_ix = min(1.0, max(-1.0, c_ix))
         c_yz = min(1.0, max(-1.0, c_yz))
-        witness = KrausCoefficients(
+        return KrausCoefficients(
             ii * cmath.exp(1j * math.acos(c_ix)),
             x,
             y,
             z * cmath.exp(1j * (math.pi / 2 - math.acos(c_yz))),
         )
-        return y, witness
     return None
 
 
@@ -277,7 +267,7 @@ def _limiting_case(e_b: float, alpha: float) -> BoundResult:
     if e_b == 0.0:
         # a_X = a_Y = 0 is forced, so e_p = alpha (identity attack at alpha = 0).
         w = KrausCoefficients(math.sqrt(1.0 - alpha), 0, 0, 1j * math.sqrt(alpha))
-        return BoundResult(alpha, 0.0, w, "limiting", alpha)
+        return BoundResult(alpha, w, "limiting", alpha)
     # alpha = 0 forces a_Z = i*a_Y, so e_p <= 2*e_b, saturated at a_X = 0.
     ep = min(2.0 * e_b, EP_CAP)
     if e_b <= 0.25:
@@ -289,13 +279,13 @@ def _limiting_case(e_b: float, alpha: float) -> BoundResult:
         w = KrausCoefficients(
             math.sqrt(0.75 - e_b), math.sqrt(e_b - 0.25), ay, 0.5j
         )
-    return BoundResult(ep, ay, w, "limiting", 2.0 * e_b)
+    return BoundResult(ep, w, "limiting", 2.0 * e_b)
 
 
 def exact_bound(e_b: float, alpha: float) -> BoundResult:
     """Tight phase-error bound by 1-D maximization over the angle v.
 
-    Capped at 1/2.  When the cap binds, ay_star/witness are replaced by an
+    Capped at 1/2.  When the cap binds, the witness is replaced by an
     attack with e_p exactly 1/2 (`_capped_witness`, else the aligned
     crossing) so that the witness still reproduces (e_b, alpha, ep_max).
     Callers that need only the value should use `exact_ep`, which skips
@@ -305,24 +295,20 @@ def exact_bound(e_b: float, alpha: float) -> BoundResult:
     if e_b == 0.0 or alpha == 0.0:
         return _limiting_case(e_b, alpha)
 
-    hats = HatParams.from_rates(e_b, alpha)
-    angles = _Angles(hats)
+    angles = _Angles(e_b, alpha)
     v_star, h_max = angles.maximize()
     val = e_b * h_max
     if val <= EP_CAP:
-        witness = angles.witness(v_star)
-        return BoundResult(val, witness.a_Y, witness, "exact", val)
-    capped = _capped_witness(hats)
-    if capped is None:
+        return BoundResult(val, angles.witness(v_star), "exact", val)
+    witness = _capped_witness(angles)
+    if witness is None:
         v_cap = angles.crossing(e_b, v_star)
         if v_cap is None:
             raise DomainError(
                 f"no attack with e_p = 1/2 found at (e_b, alpha)=({e_b}, {alpha})"
             )
         witness = angles.witness(v_cap)
-        capped = witness.a_Y, witness
-    y_cap, witness = capped
-    return BoundResult(EP_CAP, y_cap, witness, "exact", val)
+    return BoundResult(EP_CAP, witness, "exact", val)
 
 
 def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
@@ -332,10 +318,10 @@ def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
     ``capped=False``; for sweeps that read only the value.
     """
     _check_domain(e_b, alpha)
-    if e_b == 0.0 or alpha == 0.0:  # _limiting_case's uncapped values
-        val = alpha if e_b == 0.0 else 2.0 * e_b
+    if e_b == 0.0 or alpha == 0.0:
+        val = _limiting_case(e_b, alpha).ep_uncapped
     else:
-        val = e_b * _Angles(HatParams.from_rates(e_b, alpha)).maximize()[1]
+        val = e_b * _Angles(e_b, alpha).maximize()[1]
     return min(val, EP_CAP) if capped else val
 
 

@@ -82,20 +82,9 @@ def tolerable_eb(alpha: float, method: str = "approximate") -> float:
 def tolerable_eb_equal(method: str = "approximate") -> float:
     """Threshold on the diagonal e_b = alpha.
 
-    With the approximate method the bound reduces to e_p = 5*e_b, the
-    diagonal value of the small-rate bound.
+    With the simple method the bound there is e_p = 5*e_b.
     """
-    if method == "approximate":
-        rate = lambda e: 1.0 - binary_entropy(e) - binary_entropy(
-            min(5.0 * e, 0.5)
-        )
-    elif method == "exact":
-        rate = lambda e: key_rate_single_photon(e, e, "exact").R
-    else:
-        raise ValueError(
-            f"method must be 'exact' or 'approximate', got {method!r}"
-        )
-    return _threshold(rate)
+    return _threshold(lambda e: key_rate_single_photon(e, e, method).R)
 
 
 def bb84_tolerable_eb() -> float:

@@ -127,9 +127,6 @@ class AzumaReport:
     within_no_error: bool
     alpha_gap: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def azuma_check(stats: ProtocolStats, attack: KrausCoefficients) -> AzumaReport:
     """Compare X-check counts against the attack's analytic probabilities.

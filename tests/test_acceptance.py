@@ -61,7 +61,7 @@ def test_secure_region_y_intercept():
 
 
 def test_diagonal_and_bb84_thresholds():
-    diag = tolerable_eb_equal("approximate")
+    diag = tolerable_eb_equal("simple")
     bb84 = bb84_tolerable_eb()
     ok = 0.0420 <= diag <= 0.0430 and 0.1095 <= bb84 <= 0.1105
     report(

@@ -334,6 +334,15 @@ class TestSimulate:
         assert rec["stats"]["observed_eb"] == 0.0
         assert rec["stats"]["observed_alpha"] == 0.0
 
+    @pytest.mark.parametrize("scale", ["1e-200", "5e-324"])
+    def test_tiny_identity_attack(self, capsys, scale):
+        # the identity attack scaled down until every square underflows:
+        # the rates, and so the output, do not depend on the scale
+        args = ("simulate", "--N", "1000", "--seed", "4")
+        code, out, _ = run_cli(capsys, *args, f"--attack={scale},0,0,0,0,0,0,0")
+        assert code == 0
+        assert out == run_cli(capsys, *args, "--attack=1,0,0,0,0,0,0,0")[1]
+
     def test_repeated_seed_identical_bytes(self, capsys):
         args = ("simulate", "--N", "2000", "--seed", "9", "--attack", self.ATTACK)
         _, out1, _ = run_cli(capsys, *args)
@@ -388,6 +397,24 @@ class TestOutputPinned:
             "c284b0f4047b8c909ea6debdc2e5e1368edd952956eb07ce6eb31422e9926415",
         ("decoy", "--protocol", "bb84", "--L-step", "1"):
             "49dfde135fbbd7e86458c6b40cf742c59c9cd7a1eabd680f6af55f4fd410197c",
+        # one per exact_bound branch: e_b = 0 (an int a_Y), alpha = 0 below
+        # and above the cap, the aligned crossing, the capped |a_Y| grid,
+        # and the closed form at e_b = 1/2
+        ("bound", "--eb", "0", "--alpha", "0.3"):
+            "e30c75047eab9e455f38954ff268e4dd7c3d0dc24dd93896ffbc4b0b15c6fc52",
+        ("bound", "--eb", "0.1", "--alpha", "0"):
+            "4700b4ff704c9b5d9fcb79b8ba97324231e216530d9ec5770c02fa2a965d04bb",
+        ("bound", "--eb", "0.3", "--alpha", "0"):
+            "569827f8efe5a79135c9a57e3552c23c99ca067c527db17effc1a9e12c557d10",
+        ("bound", "--eb", "0.3", "--alpha", "1e-8"):
+            "edab8673388712db416b54b97d5e4372f50647e4ae9180323c204a9cd5963ad4",
+        ("bound", "--eb", "0.01", "--alpha", "0.44"):
+            "3a753cc3403b2369b55ef4fdfd914d3261c2095d64b71ac31f7145f234fa2f3c",
+        ("bound", "--eb", "0.5", "--alpha", "0.5"):
+            "2c53af802e9a1f43ee365d301a89903ec47711e41bb686de8c15d728197c6cd1",
+        ("simulate", "--N", "100000", "--seed", "7", "--attack",
+         "0.9486832980505138,0,0,0,0,0,0,0.31622776601683794"):
+            "2c99d0686794636e9d785153f464162ec08df9369da428df5d2fa2e1ccc5c6c1",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)

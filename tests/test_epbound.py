@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import qkd3.errors
 from qkd3 import (
     DomainError,
-    HatParams,
     approx_bound,
     exact_bound,
     exact_ep,
@@ -76,7 +75,7 @@ class TestAzBranch:
     def test_hand_value_at_zero(self):
         # e_b = alpha = 0.25: hats are 3, inner radicand 11, so
         # |a_Z| = (sqrt(3) + sqrt(11)) / 4
-        h = HatParams.from_rates(0.25, 0.25)
+        h = _Angles(0.25, 0.25)
         z = az_branch(0.0, h)
         assert z == pytest.approx((math.sqrt(3) + math.sqrt(11)) / 4, abs=1e-14)
         assert z * z < h.eb_hat
@@ -84,7 +83,7 @@ class TestAzBranch:
     def test_boundary_ay_one(self):
         # sqrt(1 - ay^2) terms vanish: |a_Z| = (ah + sqrt(eh*(1+ah) - ah))/(1+ah);
         # at e_b = alpha = 0.05 that is (19 + sqrt(361))/20 = 1.9 exactly
-        h = HatParams.from_rates(0.05, 0.05)
+        h = _Angles(0.05, 0.05)
         assert az_branch(1.0, h) == pytest.approx(1.9, abs=1e-14)
 
     def test_guards(self):
@@ -99,7 +98,7 @@ class TestAzBranch:
         )
         for e_b in (0.01, 0.1, 0.5):
             for alpha in (0.01, 0.1, 0.5):
-                h = HatParams.from_rates(e_b, alpha)
+                h = _Angles(e_b, alpha)
                 assert all(
                     az_branch(float(y), h) is not None
                     for y in np.linspace(0.0, 1.0, 101)
@@ -108,7 +107,7 @@ class TestAzBranch:
     @given(rate, rate, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=300)
     def test_feasible_points_solve_a_constraint_sign(self, e_b, alpha, ay):
-        h = HatParams.from_rates(e_b, alpha)
+        h = _Angles(e_b, alpha)
         z = az_branch(ay, h)
         if z is None:
             return
@@ -126,7 +125,7 @@ class TestAzBranch:
         for e_b in np.linspace(0.02, 0.5, 13):
             h_alphas = np.linspace(0.02, 0.5, 13)
             for alpha in h_alphas:
-                h = HatParams.from_rates(float(e_b), float(alpha))
+                h = _Angles(float(e_b), float(alpha))
                 for ay in np.linspace(0.0, 1.0, 101):
                     zp = az_branch(float(ay), h)
                     zm = az_branch_minus(float(ay), h)
@@ -243,7 +242,7 @@ class TestExactEp:
     )
     def test_at_least_dense_az_branch_grid_max(self, e_b, alpha):
         # the angle form against the |a_Y| form on a 20 001-point grid
-        h = HatParams.from_rates(e_b, alpha)
+        h = _Angles(e_b, alpha)
         objective = [
             (z * z + y * y) * e_b
             for y in np.linspace(0.0, 1.0, 20_001).tolist()
@@ -273,7 +272,7 @@ class TestMaximizer:
 
     @staticmethod
     def angles(e_b, alpha):
-        a = _Angles(HatParams.from_rates(e_b, alpha))
+        a = _Angles(e_b, alpha)
         return a, a.gamma, a.gamma + 0.5 * math.pi
 
     @given(st.one_of(log_rate, edge_rate), st.one_of(log_rate, edge_rate))
@@ -344,13 +343,13 @@ class TestMaximizer:
         axis = np.logspace(-15, LOG_HALF, 25).tolist()
         for e_b in axis:
             for alpha in axis:
-                _Angles(HatParams.from_rates(e_b, alpha)).maximize()
+                _Angles(e_b, alpha).maximize()
         assert count[0] / len(axis) ** 2 <= 12.0
 
     def test_no_slope_evaluation_at_half(self, monkeypatch):
         count = self.count_slopes(monkeypatch)
         for alpha in np.logspace(-15, LOG_HALF, 200).tolist() + [0.5]:
-            _Angles(HatParams.from_rates(0.5, alpha)).maximize()
+            _Angles(0.5, alpha).maximize()
         assert count[0] == 0
 
 
@@ -367,6 +366,7 @@ class TestWitness:
             res = exact_bound(e_b, alpha)
         except QKD3_ERRORS:
             return
+        assert res.ay_star == abs(res.witness.a_Y)
         r = rates_from_ensemble([res.witness])
         assert abs(r.e_b - e_b) <= 1e-9
         assert abs(r.alpha - alpha) <= 1e-9
@@ -391,7 +391,7 @@ class TestWitness:
     def test_crossing_needs_only_the_lower_endpoint(self, e_b, alpha):
         # h(gamma + pi/2) >= h(gamma) + 1: the upper endpoint is above the
         # cap whenever the lower one is, so `crossing` never searches from it
-        a = _Angles(HatParams.from_rates(e_b, alpha))
+        a = _Angles(e_b, alpha)
         h_lo, h_hi = a.h(a.gamma), a.h(a.gamma + 0.5 * math.pi)
         assert h_hi >= (h_lo + 1.0) * (1.0 - 1e-15)
 

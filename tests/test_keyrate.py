@@ -85,6 +85,8 @@ class TestKeyRateSinglePhoton:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             key_rate_single_photon(0.01, 0.01, "loose")
+        with pytest.raises(ValueError):
+            tolerable_eb_equal("loose")
 
     def test_simple_method_bound(self):
         p = key_rate_single_photon(0.01, 0.04, "simple")
@@ -108,8 +110,14 @@ class TestThresholds:
 
     def test_diagonal_five_eb(self):
         # root of 1 - H2(e) - H2(5e); 30-digit oracle: 0.04250905463...
-        assert tolerable_eb_equal("approximate") == pytest.approx(
+        assert tolerable_eb_equal("simple") == pytest.approx(
             0.0425090546, abs=2e-6
+        )
+
+    def test_diagonal_approximate(self):
+        # the key rate through approx_bound, as tolerable_eb takes it
+        assert tolerable_eb_equal("approximate") == pytest.approx(
+            0.0435636, abs=2e-6
         )
 
     def test_diagonal_exact_at_least_approximate(self):
