@@ -57,4 +57,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

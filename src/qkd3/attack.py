@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import DegenerateAttackError, SamplingError
 
 _MAX_REJECTION_DRAWS = 10**6
+_RESCALE_BELOW = 2.0**-400  # total weight under which the rates rescale
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,16 @@ def rates_from_ensemble(ensemble: AttackEnsemble) -> ErrorRates:
     alpha = sum |i a_Y - a_Z|^2 / sum(|i a_Y - a_Z|^2 + |a_I + a_X|^2).
 
     The rates do not depend on the scale of the amplitudes: when the
-    total weight is below the smallest normal double, the ensemble is
-    first scaled by the exact power of two that brings its largest
-    amplitude into [1/2, 1).  Raises DegenerateAttackError when the
-    check-state denominator vanishes.
+    total weight is below 2**-400 (the largest amplitude below about
+    2**-200), the ensemble is first scaled by the exact power of two that
+    brings its largest amplitude into [1/2, 1), so that the check-state
+    terms, which may be much smaller than the total, do not underflow.
+    Raises DegenerateAttackError when the check-state denominator vanishes.
     """
     if len(ensemble) == 0:
         raise ValueError("ensemble must be nonempty")
     total, bit, phase, check_err, check_ok = _weights(ensemble)
-    if total < sys.float_info.min:
+    if total < _RESCALE_BELOW:
         big = max(abs(a) for k in ensemble for a in (k.a_I, k.a_X, k.a_Y, k.a_Z))
         shift = -math.frexp(big)[1]  # up to 1073: two factors, as 2**1024 overflows
         up, rest = 2.0 ** (shift // 2), 2.0 ** (shift - shift // 2)
@@ -244,21 +245,22 @@ def random_attack(seed: int, region: bool = False) -> KrausCoefficients:
         norm = math.sqrt(float(np.dot(v, v)))
         if norm < 1e-12:
             continue
-        v = v / norm
-        k = KrausCoefficients(
-            complex(v[0], v[1]),
-            complex(v[2], v[3]),
-            complex(v[4], v[5]),
-            complex(v[6], v[7]),
+        ir, ii, xr, xi, yr, yi, zr, zi = (v / norm).tolist()
+        if region:
+            # e_b <= 1/2 and alpha <= 1/2 as weight comparisons, without
+            # building the element; a vanishing check-state total is rejected
+            check_ok = (ir + xr) ** 2 + (ii + xi) ** 2  # |a_I + a_X|^2
+            check_err = (yi + zr) ** 2 + (yr - zi) ** 2  # |i a_Y - a_Z|^2
+            bit = xr * xr + xi * xi + yr * yr + yi * yi
+            if not (
+                bit <= ir * ir + ii * ii + zr * zr + zi * zi
+                and check_err <= check_ok
+                and check_ok > 0.0
+            ):
+                continue
+        return KrausCoefficients(
+            complex(ir, ii), complex(xr, xi), complex(yr, yi), complex(zr, zi)
         )
-        if not region:
-            return k
-        try:
-            r = rates_from_ensemble([k])
-        except DegenerateAttackError:
-            continue
-        if r.e_b <= 0.5 and r.alpha <= 0.5:
-            return k
     raise SamplingError(
         f"no admissible attack within {_MAX_REJECTION_DRAWS} draws"
     )

@@ -9,12 +9,22 @@ constants, so the key rate
 needs no finite-decoy estimation.  For the three-state protocol e_p is
 the exact phase-error bound evaluated at (e1, e1); for BB84, e_p = e1.
 
-`optimal_mu` evaluates the model and the rate, each written once with exp
-and H2 passed in, with numpy on the 400-point mu grid only to pick the
-argmax, then refines by golden section (about 20 steps) in floats from
-the float rate there.  np.exp and np.log2 may differ from math in the
-last bit, so the refine keeps math and near-ties of the scan are ranked
-again in floats: every printed bit is the one a float scan gives.
+e1, and so e_p, does not depend on mu.  With E_mu' = eta e^{-eta mu}
+(e_det - E_mu) / Q_mu and Y1 = y0 + eta the rate has the derivative
+
+    R'(mu) = Y1 (1 - mu) e^{-mu} (1 - H2(e_p))
+             - f_ec eta e^{-eta mu} [H2(E_mu) + H2'(E_mu) (e_det - E_mu)],
+
+where the bracket is the cross entropy -e_det log2(E_mu) - (1 - e_det)
+log2(1 - E_mu).
+
+`optimal_mu` takes mu* on [0.0025, 1] from R'/Y1, which has the sign of
+R' and is finite for every eta, 0 included: mu = 1 when R'(1) >= 0,
+else the sign change by the Illinois search of `epbound`, to 1e-6
+relative, in a bracket stepped down from 1/2 by factors of 4.  mu =
+0.0025 wins a tie with it (past the cutoff, e1 > 1/2, or where the rate
+is flat in mu).  1 - e^{-eta mu} is -expm1(-eta mu), which keeps the
+digits of a tiny eta mu.
 """
 
 from __future__ import annotations
@@ -24,21 +34,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .epbound import EP_CAP, _illinois_root, exact_ep
 from .errors import DomainError, NoSecureDistanceError
 from .keyrate import binary_entropy
 
 PROTOCOLS = ("three-state", "bb84")
 
-_MU_GRID = np.linspace(0.0, 1.0, 401)[1:]  # scan grid on (0, 1]
-_MU_TOL = 1e-6
-# np.exp and np.log2 may differ from math in the last bit; 1 - exp(-eta*mu)
-# and H2' amplify that to at most about 5e-13 * f_ec in the rate.
-_TIE_TOL = 1e-12
+_MU_MIN = 0.0025  # lower end of the mu domain
+_MU_RTOL = 1e-6  # root tolerance relative to the bracket's lower end
 _DISTANCE_RESOLUTION_KM = 0.01
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -114,31 +118,33 @@ def transmittance(params: ChannelParams, L_km: float) -> float:
     return params.eta_bob * 10.0 ** (-params.fiber_loss_db_per_km * L_km / 10.0)
 
 
-def _model(params: ChannelParams, eta: float, mu, exp):
-    """(Q_mu, E_mu, Q1, e1) at transmittance eta for a float mu and math.exp
-    or an array of mu and np.exp; a ratio 0/0 (no clicks) is read as 0/1."""
-    detected = 1.0 - exp(-eta * mu)
+def _signal(params: ChannelParams, eta: float, mu: float) -> tuple[float, float]:
+    """(Q_mu, E_mu) at transmittance eta; 0/0 (no clicks) reads E_mu = 0."""
+    detected = -math.expm1(-eta * mu)
     q_mu = params.y0 + detected
+    errors = params.e0 * params.y0 + params.e_det * detected
+    return q_mu, errors / q_mu if q_mu else 0.0
+
+
+def _model(
+    params: ChannelParams, eta: float, mu: float
+) -> tuple[float, float, float, float]:
+    """(Q_mu, E_mu, Q1, e1) at transmittance eta; 0/0 (no clicks) reads 0."""
     y1 = params.y0 + eta
-    e_mu = (params.e0 * params.y0 + params.e_det * detected) / (q_mu + (q_mu == 0.0))
-    e1 = (params.e0 * params.y0 + params.e_det * eta) / (y1 + (y1 == 0.0))
+    e1 = (params.e0 * params.y0 + params.e_det * eta) / y1 if y1 else 0.0
     if e1 < _MIN_NORMAL:
         # a subnormal e1 has no finite odds ratio for the exact bound; at 0
         # the rate has the same bits, as 1 - H2(e_p) rounds to 1 either way
         e1 = 0.0
-    return q_mu, e_mu, y1 * mu * exp(-mu), e1
+    return (*_signal(params, eta, mu), y1 * mu * math.exp(-mu), e1)
 
 
-def _rate(params: ChannelParams, q_mu, e_mu, q1, ep: float, h2):
-    """R from the model's terms; h2 is binary_entropy or _h2_array."""
-    return -q_mu * params.f_ec * h2(e_mu) + q1 * (1.0 - binary_entropy(ep))
-
-
-def _h2_array(x: np.ndarray) -> np.ndarray:
-    """binary_entropy of an array in [0, 1]."""
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.where(inside, x, 0.5)  # log2 only of interior points
-    return np.where(inside, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
+def _rate(
+    params: ChannelParams, q_mu: float, e_mu: float, q1: float, ep: float
+) -> float:
+    """R from the model's terms."""
+    leak = q_mu * params.f_ec * binary_entropy(e_mu)
+    return -leak + q1 * (1.0 - binary_entropy(ep))
 
 
 def channel_observables(
@@ -147,7 +153,7 @@ def channel_observables(
     """Model observables for mean photon number mu at distance L_km."""
     if mu <= 0.0:
         raise DomainError(f"mean photon number must be positive, got {mu}")
-    return DecoyObservables(*_model(params, transmittance(params, L_km), mu, math.exp))
+    return DecoyObservables(*_model(params, transmittance(params, L_km), mu))
 
 
 def phase_error_for(e1: float, protocol: str) -> float | None:
@@ -172,64 +178,57 @@ def key_rate_decoy(
     ep = phase_error_for(obs.e1, protocol)
     if ep is None:
         return -math.inf
-    return _rate(params, obs.Q_mu, obs.E_mu, obs.Q1, ep, binary_entropy)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float, best=None) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi] to tol in x: the best
-    (x, f(x)) seen, starting from `best` when given."""
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_f = best or ((c, fc) if fc >= fd else (d, fd))
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-        if fc > best_f:
-            best_x, best_f = c, fc
-        if fd > best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
+    return _rate(params, obs.Q_mu, obs.E_mu, obs.Q1, ep)
 
 
 def _optimize(
     params: ChannelParams, L_km: float, protocol: str
-) -> tuple[float, float, float]:
-    """(mu_star, R_star, e_p) at L_km; past the three-state bound's domain
-    (e1 > 1/2) R_star is -inf at the first grid point and e_p reads 1/2."""
+) -> tuple[float, float, float, DecoyObservables]:
+    """(mu_star, R_star, e_p, observables at mu_star) at L_km; past the
+    three-state bound's domain (e1 > 1/2) R_star is -inf at mu = 0.0025
+    and e_p reads 1/2."""
     eta = transmittance(params, L_km)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent in floats too
-        q_mu, e_mu, q1, e1 = _model(params, eta, _MU_GRID, np.exp)
-        ep = phase_error_for(e1, protocol)
-        if ep is None:
-            return float(_MU_GRID[0]), -math.inf, EP_CAP
-        scan = _rate(params, q_mu, e_mu, q1, ep, _h2_array)
-        k = int(np.argmax(scan))
-        near = np.flatnonzero(scan >= scan[k] - _TIE_TOL * params.f_ec).tolist()
+    lowest = _model(params, eta, _MU_MIN)
+    ep = phase_error_for(lowest[3], protocol)
+    if ep is None:
+        return _MU_MIN, -math.inf, EP_CAP, DecoyObservables(*lowest)
+    gain = 1.0 - binary_entropy(ep)
+    y1 = params.y0 + eta
+    share = eta / y1 if y1 else 0.0  # eta / Y1, 0 with no transmission
 
-    def rate(mu: float) -> float:
-        q_mu, e_mu, q1, _ = _model(params, eta, mu, math.exp)
-        return _rate(params, q_mu, e_mu, q1, ep, binary_entropy)
+    def slope(mu: float) -> float:
+        """R'(mu) / Y1: the sign of R', finite for every eta, also 0."""
+        e_mu = _signal(params, eta, mu)[1]
+        cross = 0.0  # as H2 in the rate, where E_mu rounds to 0 or 1
+        if 0.0 < e_mu < 1.0:
+            e_det = params.e_det
+            cross = -e_det * math.log2(e_mu) - (1.0 - e_det) * math.log2(1.0 - e_mu)
+        leak = params.f_ec * share * math.exp(-eta * mu) * cross
+        return (1.0 - mu) * math.exp(-mu) * gain - leak
 
-    # the first best grid point by the float rate, as np.argmax of a float scan
-    near = near or [k]  # empty when the top is nan
-    rates = [rate(float(_MU_GRID[j])) for j in near]
-    best = int(np.argmax(rates))
-    i = near[best]
-    lo, hi = _MU_GRID[np.clip([i - 1, i + 1], 0, _MU_GRID.size - 1)].tolist()
-    return (*_golden_max(rate, lo, hi, _MU_TOL, (float(_MU_GRID[i]), rates[best])), ep)
+    mu = 1.0
+    if (f_hi := slope(mu)) < 0.0:
+        lo = 0.5
+        while (f_lo := slope(lo)) <= 0.0 and lo > _MU_MIN:
+            mu, f_hi = lo, f_lo
+            lo = max(0.25 * lo, _MU_MIN)
+        mu = (
+            _illinois_root(slope, lo, f_lo, mu, f_hi, _MU_RTOL * lo)
+            if f_lo > 0.0
+            else _MU_MIN
+        )
+    terms = _model(params, eta, mu)
+    rate = _rate(params, *terms[:3], ep)
+    low_rate = _rate(params, *lowest[:3], ep)
+    if not rate > low_rate:
+        return _MU_MIN, low_rate, ep, DecoyObservables(*lowest)
+    return mu, rate, ep, DecoyObservables(*terms)
 
 
 def optimal_mu(
     params: ChannelParams, L_km: float, protocol: str
 ) -> tuple[float, float]:
-    """(mu_star, R_star) maximizing the key rate over mu in (0, 1]."""
+    """(mu_star, R_star) maximizing the key rate over mu in [0.0025, 1]."""
     return _optimize(params, L_km, protocol)[:2]
 
 

@@ -66,8 +66,9 @@ e_b * h(v) = 1/2 between v = gamma, if it is below the cap, and the
 maximizer.  The other endpoint is never below the cap when gamma is
 not: as sin(gamma) <= cos(gamma), |a_Z| at gamma is at most |a_Z| at
 gamma + pi/2, where |a_Y| = 1, so h(gamma + pi/2) >= h(gamma) + 1.  All
-of the package's 1-D root searches (the secure-region frontier and the
-decoy secure distance too) use `_illinois_root`.
+of the package's 1-D searches (the secure-region frontier, the decoy
+secure distance and the decoy's optimal mu, a root of dR/dmu, too) use
+`_illinois_root`.
 """
 
 from __future__ import annotations

@@ -72,6 +72,13 @@ class TestRatesFromEnsemble:
         with pytest.raises(DegenerateAttackError):
             rates_from_ensemble([k])
 
+    def test_tiny_check_terms_rescaled(self):
+        # the total weight 8e-308 is a normal double, |i a_Y|^2 = 1e-340 is
+        # not: the rates are those of the same attack scaled by 2**600
+        k = KrausCoefficients(2e-154, -2e-154, 1e-170, 0)
+        assert rates_from_ensemble([k]) == rates_from_ensemble([k.scaled(2.0**600)])
+        assert rates_from_ensemble([k]).alpha == 1.0
+
     @given(st.lists(kraus_elements(), min_size=1, max_size=5))
     def test_rates_within_unit_interval(self, elements):
         try:
@@ -193,6 +200,28 @@ class TestRandomAttack:
             r = rates_from_ensemble([random_attack(seed, region=True)])
             assert r.e_b <= 0.5
             assert r.alpha <= 0.5
+
+    def test_region_draws_match_rates_reference(self):
+        # the region test on the eight floats accepts the draws that
+        # rates_from_ensemble accepts, so each seed gives the same attack
+        def reference(seed):
+            rng = np.random.default_rng(seed)
+            while True:
+                v = rng.standard_normal(8)
+                norm = math.sqrt(float(np.dot(v, v)))
+                if norm < 1e-12:
+                    continue
+                v = v / norm
+                k = KrausCoefficients(*(complex(v[j], v[j + 1]) for j in (0, 2, 4, 6)))
+                try:
+                    r = rates_from_ensemble([k])
+                except DegenerateAttackError:
+                    continue
+                if r.e_b <= 0.5 and r.alpha <= 0.5:
+                    return k
+
+        for seed in range(20_000):
+            assert random_attack(seed, region=True) == reference(seed)
 
 
 class TestSerialization:

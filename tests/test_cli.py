@@ -343,6 +343,16 @@ class TestSimulate:
         assert code == 0
         assert out == run_cli(capsys, *args, "--attack=1,0,0,0,0,0,0,0")[1]
 
+    def test_tiny_check_terms(self, capsys):
+        # a normal total weight whose check-state terms underflow: the
+        # output is that of the same attack scaled by 2**600
+        args = ("simulate", "--N", "1000", "--seed", "4")
+        tiny = (2e-154, 0.0, -2e-154, 0.0, 1e-170, 0.0, 0.0, 0.0)
+        code, out, _ = run_cli(capsys, *args, "--attack=" + ",".join(map(repr, tiny)))
+        assert code == 0
+        big = ",".join(repr(x * 2.0**600) for x in tiny)
+        assert out == run_cli(capsys, *args, f"--attack={big}")[1]
+
     def test_repeated_seed_identical_bytes(self, capsys):
         args = ("simulate", "--N", "2000", "--seed", "9", "--attack", self.ATTACK)
         _, out1, _ = run_cli(capsys, *args)
@@ -388,15 +398,15 @@ class TestOutputPinned:
         ("region", "--method", "exact"):
             "37d3a98a8ccf95c7625a6b80e2bc422b1d668d91ddd8f068dc1f8232d24a064e",
         ("decoy", "--protocol", "three-state"):
-            "c748ebcb65efc470c38730d7255f2648133ca074052dbec3adb95f937fcc1f83",
+            "b43a2bde3273d13290c1cf4668fd7723e1304684f9cff22ec798d8f12576cc87",
         ("region", "--method", "exact", "--steps", "21"):
             "97a43e55c45f7f785be84f36a53a069e99723aaf7e288cd6a8ef4cb9aa8a5d7a",
         ("fig1", "--steps", "401"):
             "21ab138de5650a10180245f6244221434b94f9bfc5e89d552c1c208d7d986e84",
         ("decoy", "--L-step", "1"):
-            "c284b0f4047b8c909ea6debdc2e5e1368edd952956eb07ce6eb31422e9926415",
+            "bd52cfc1b2ac907296625809bfea06fa7fdab31b5c1ee1f39f68ba79e11e5576",
         ("decoy", "--protocol", "bb84", "--L-step", "1"):
-            "49dfde135fbbd7e86458c6b40cf742c59c9cd7a1eabd680f6af55f4fd410197c",
+            "bf2d17553a76bd9a82be777e152a49290bfc731174f1c5c390466ce7e5024590",
         # one per exact_bound branch: e_b = 0 (an int a_Y), alpha = 0 below
         # and above the cap, the aligned crossing, the capped |a_Y| grid,
         # and the closed form at e_b = 1/2
