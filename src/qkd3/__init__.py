@@ -10,7 +10,6 @@ from .attack import (
     ErrorRates,
     KrausCoefficients,
     combine_pair,
-    combined_cosines,
     phase_cosines,
     random_attack,
     rates_from_ensemble,
@@ -57,4 +56,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

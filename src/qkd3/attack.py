@@ -156,48 +156,35 @@ def rates_from_ensemble(ensemble: AttackEnsemble) -> ErrorRates:
     )
 
 
-def _pair_cosine(u: complex, v: complex) -> float:
-    """cos of the phase gap between u and v; 0 when either magnitude is 0."""
-    m = abs(u) * abs(v)
-    if m == 0.0:
-        return 0.0
-    c = (u * v.conjugate()).real / m
-    # Cauchy-Schwarz bounds |c| <= 1; clip float rounding.
+def _clip(c: float) -> float:
+    """A cosine clipped to [-1, 1] (Cauchy-Schwarz, past float rounding)."""
     return min(1.0, max(-1.0, c))
 
 
 def phase_cosines(k: KrausCoefficients) -> tuple[float, float]:
     """(c_IX, c_YZ) with |a_I+a_X|^2 = |a_I|^2+|a_X|^2+2*c_IX*|a_I||a_X|
-    and |i a_Y-a_Z|^2 = |a_Y|^2+|a_Z|^2-2*c_YZ*|a_Y||a_Z|."""
-    return _pair_cosine(k.a_I, k.a_X), _pair_cosine(1j * k.a_Y, k.a_Z)
+    and |i a_Y-a_Z|^2 = |a_Y|^2+|a_Z|^2-2*c_YZ*|a_Y||a_Z|; a cosine is 0
+    where either of its magnitudes is."""
+    cosines = []
+    for u, v in ((k.a_I, k.a_X), (1j * k.a_Y, k.a_Z)):
+        m = abs(u) * abs(v)
+        cosines.append(_clip((u * v.conjugate()).real / m) if m else 0.0)
+    return cosines[0], cosines[1]
 
 
-def combined_cosines(
-    s1: KrausCoefficients, s2: KrausCoefficients
-) -> tuple[float, float]:
-    """Interference cosines of the element that merges s1 and s2.
-
-    Weighted mean of the inputs' cosines; the weights are the magnitude
-    products, the normalizer the root-sum-square magnitudes.  Equals 0
-    when a normalizing magnitude vanishes (the phase is then immaterial).
-    """
-    c1_ix, c1_yz = phase_cosines(s1)
-    c2_ix, c2_yz = phase_cosines(s2)
-
-    def merge(c1, m1a, m1b, c2, m2a, m2b):
-        den = math.hypot(m1a, m2a) * math.hypot(m1b, m2b)
-        if den == 0.0:
-            return 0.0
-        c = (c1 * m1a * m1b + c2 * m2a * m2b) / den
-        return min(1.0, max(-1.0, c))
-
-    c_ix = merge(
-        c1_ix, abs(s1.a_I), abs(s1.a_X), c2_ix, abs(s2.a_I), abs(s2.a_X)
+def _element(
+    m_i: float, m_x: float, m_y: float, m_z: float, c_ix: float, c_yz: float
+) -> KrausCoefficients:
+    """The canonical attack element with magnitudes m_* and interference
+    cosines c_IX, c_YZ (as in `phase_cosines`, clipped to [-1, 1]): a_X
+    and a_Y real and nonnegative, a_I carries the I/X phase gap, a_Z the
+    Y/Z one."""
+    return KrausCoefficients(
+        m_i * cmath.exp(1j * math.acos(_clip(c_ix))),
+        m_x,
+        m_y,
+        m_z * cmath.exp(1j * (math.pi / 2 - math.acos(_clip(c_yz)))),
     )
-    c_yz = merge(
-        c1_yz, abs(s1.a_Y), abs(s1.a_Z), c2_yz, abs(s2.a_Y), abs(s2.a_Z)
-    )
-    return c_ix, c_yz
 
 
 def combine_pair(
@@ -205,21 +192,25 @@ def combine_pair(
 ) -> KrausCoefficients:
     """Merge two attack elements into one inducing identical error rates.
 
-    The output magnitudes are root-sum-squares of the inputs'; the output
-    phases are chosen so that |a_I + a_X|^2 and |i a_Y - a_Z|^2 both equal
-    the sums of the corresponding input terms.  Convention: a_X and a_Y
-    are real nonnegative, a_I carries the I/X phase gap, a_Z the Y/Z one.
+    The output magnitudes are root-sum-squares of the inputs'; its
+    interference terms Re(a_I conj a_X) and Re(i a_Y conj a_Z) are the
+    sums of the inputs', so |a_I + a_X|^2 and |i a_Y - a_Z|^2 add up too.
+    The element is `_element`'s; a cosine whose magnitudes vanish is 0
+    (the phase is then immaterial).
     """
-    c_ix, c_yz = combined_cosines(s1, s2)
     m_i = math.hypot(abs(s1.a_I), abs(s2.a_I))
     m_x = math.hypot(abs(s1.a_X), abs(s2.a_X))
     m_y = math.hypot(abs(s1.a_Y), abs(s2.a_Y))
     m_z = math.hypot(abs(s1.a_Z), abs(s2.a_Z))
-    return KrausCoefficients(
-        a_I=m_i * cmath.exp(1j * math.acos(c_ix)),
-        a_X=m_x,
-        a_Y=m_y,
-        a_Z=m_z * cmath.exp(1j * (math.pi / 2 - math.acos(c_yz))),
+    ix = (s1.a_I * s1.a_X.conjugate() + s2.a_I * s2.a_X.conjugate()).real
+    yz = (1j * (s1.a_Y * s1.a_Z.conjugate() + s2.a_Y * s2.a_Z.conjugate())).real
+    return _element(
+        m_i,
+        m_x,
+        m_y,
+        m_z,
+        ix / (m_i * m_x) if m_i * m_x else 0.0,
+        yz / (m_y * m_z) if m_y * m_z else 0.0,
     )
 
 

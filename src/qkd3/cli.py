@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .attack import KrausCoefficients
-from .decoy import GYS, _optimize, load_channel_params
+from .decoy import GYS, DecoyObservables, _optimize, load_channel_params
 from .epbound import approx_bound, exact_bound, exact_ep, simple_bound
 from .errors import DomainError, InsufficientSiftError, SamplingError
 from .keyrate import secure_region_frontier
@@ -130,7 +130,8 @@ def cmd_decoy(args: argparse.Namespace) -> int:
     params = load_channel_params(args.params) if args.params else GYS
 
     def row(L_km: float) -> str:
-        mu, rate, ep, obs = _optimize(params, L_km, args.protocol)
+        mu, rate, ep, terms = _optimize(params, L_km, args.protocol)
+        obs = DecoyObservables(*terms)  # validates the printed values
         vals = (L_km, mu, obs.Q_mu, obs.E_mu, obs.Q1, obs.e1, ep, max(rate, 0.0))
         return ",".join(_fmt(v) for v in vals)
 

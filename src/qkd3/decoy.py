@@ -183,15 +183,15 @@ def key_rate_decoy(
 
 def _optimize(
     params: ChannelParams, L_km: float, protocol: str
-) -> tuple[float, float, float, DecoyObservables]:
-    """(mu_star, R_star, e_p, observables at mu_star) at L_km; past the
-    three-state bound's domain (e1 > 1/2) R_star is -inf at mu = 0.0025
-    and e_p reads 1/2."""
+) -> tuple[float, float, float, tuple[float, float, float, float]]:
+    """(mu_star, R_star, e_p, model terms (Q_mu, E_mu, Q1, e1) at mu_star)
+    at L_km; past the three-state bound's domain (e1 > 1/2) R_star is
+    -inf at mu = 0.0025 and e_p reads 1/2."""
     eta = transmittance(params, L_km)
     lowest = _model(params, eta, _MU_MIN)
     ep = phase_error_for(lowest[3], protocol)
     if ep is None:
-        return _MU_MIN, -math.inf, EP_CAP, DecoyObservables(*lowest)
+        return _MU_MIN, -math.inf, EP_CAP, lowest
     gain = 1.0 - binary_entropy(ep)
     y1 = params.y0 + eta
     share = eta / y1 if y1 else 0.0  # eta / Y1, 0 with no transmission
@@ -221,8 +221,8 @@ def _optimize(
     rate = _rate(params, *terms[:3], ep)
     low_rate = _rate(params, *lowest[:3], ep)
     if not rate > low_rate:
-        return _MU_MIN, low_rate, ep, DecoyObservables(*lowest)
-    return mu, rate, ep, DecoyObservables(*terms)
+        return _MU_MIN, low_rate, ep, lowest
+    return mu, rate, ep, terms
 
 
 def optimal_mu(

@@ -73,13 +73,12 @@ secure distance and the decoy's optimal mu, a root of dR/dmu, too) use
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import KrausCoefficients
+from .attack import KrausCoefficients, _element
 from .errors import DomainError
 
 _V_TOL = 1e-12  # root-search tolerance in v
@@ -87,6 +86,7 @@ _CROSS_TOL = 1e-15  # root-search tolerance of the capped crossing in v
 # approx_bound and simple_bound scale the rates under their square roots by
 # 2**500 and the root back (exact), so e_b * alpha cannot underflow to 0
 _UP, _DOWN = 2.0**500, 2.0**-500
+_HALVE_WITNESS_FROM = 2.0**1021  # eb_hat from which `_Angles.witness` halves
 
 EP_CAP = 0.5
 
@@ -204,14 +204,19 @@ class _Angles:
         return (v, h_v) if h_v > best[1] else best
 
     def witness(self, v: float) -> KrausCoefficients:
-        """The aligned attack at v, which attains e_p = e_b * h(v)."""
+        """The aligned attack at v, which attains e_p = e_b * h(v).
+
+        Its weight is eb_hat + 1; from eb_hat = 2**1021 (e_b near the
+        smallest normal double) every amplitude is halved, exactly, so
+        that 4x the weight stays finite as KrausCoefficients requires."""
         s = math.sin(v)
         root = math.sqrt(self.eb_hat - s * s)
+        u = 0.5 if self.eb_hat >= _HALVE_WITNESS_FROM else 1.0
         return KrausCoefficients(
-            root * self.cos_g - s * self.sin_g,
-            math.cos(v - self.gamma),
-            math.sin(v - self.gamma),
-            1j * (s * self.cos_g + self.sin_g * root),
+            u * (root * self.cos_g - s * self.sin_g),
+            u * math.cos(v - self.gamma),
+            u * math.sin(v - self.gamma),
+            1j * (u * (s * self.cos_g + self.sin_g * root)),
         )
 
     def crossing(self, e_b: float, v_star: float) -> float | None:
@@ -252,14 +257,7 @@ def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
         c_yz = (
             (y * y + z * z - w / ah) / (2.0 * y * z) if y * z > 0.0 else 0.0
         )
-        c_ix = min(1.0, max(-1.0, c_ix))
-        c_yz = min(1.0, max(-1.0, c_yz))
-        return KrausCoefficients(
-            ii * cmath.exp(1j * math.acos(c_ix)),
-            x,
-            y,
-            z * cmath.exp(1j * (math.pi / 2 - math.acos(c_yz))),
-        )
+        return _element(ii, x, y, z, c_ix, c_yz)
     return None
 
 

@@ -10,12 +10,12 @@ from qkd3 import (
     DegenerateAttackError,
     KrausCoefficients,
     combine_pair,
-    combined_cosines,
     phase_cosines,
     random_attack,
     rates_from_ensemble,
     reduce_ensemble,
 )
+from qkd3.attack import _element
 
 component = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -129,7 +129,7 @@ class TestCombinePair:
             assert abs(getattr(out, name)) == pytest.approx(
                 math.sqrt(2.0) * abs(getattr(k, name)), abs=1e-12
             )
-        assert combined_cosines(k, k) == pytest.approx(phase_cosines(k), abs=1e-12)
+        assert phase_cosines(out) == pytest.approx(phase_cosines(k), abs=1e-12)
         merged = rates_from_ensemble([out])
         doubled = rates_from_ensemble([k, k])
         assert merged.e_b == pytest.approx(doubled.e_b, abs=1e-12)
@@ -149,7 +149,7 @@ class TestCombinePair:
     @given(kraus_elements(), kraus_elements())
     @settings(max_examples=200)
     def test_cosines_bounded(self, s1, s2):
-        c_ix, c_yz = combined_cosines(s1, s2)
+        c_ix, c_yz = phase_cosines(combine_pair(s1, s2))
         assert -1.0 <= c_ix <= 1.0
         assert -1.0 <= c_yz <= 1.0
 
@@ -159,6 +159,28 @@ class TestCombinePair:
         assert out.total_weight == pytest.approx(
             s1.total_weight + s2.total_weight, abs=1e-12
         )
+
+
+magnitude = st.floats(min_value=1e-100, max_value=1e100)
+cosine = st.floats(min_value=-1.0, max_value=1.0)
+
+
+class TestElement:
+    """`_element`, the canonical form of an attack element."""
+
+    @given(st.tuples(*[magnitude] * 4), cosine, cosine)
+    def test_cosines_and_magnitudes_come_back(self, mags, c_ix, c_yz):
+        k = _element(*mags, c_ix, c_yz)
+        assert phase_cosines(k) == pytest.approx((c_ix, c_yz), abs=1e-12)
+        for m, a in zip(mags, (k.a_I, k.a_X, k.a_Y, k.a_Z)):
+            assert abs(abs(a) - m) <= math.ulp(m)
+        # the phase convention: a_X and a_Y real and nonnegative
+        assert k.a_X == mags[1] and k.a_Y == mags[2]
+
+    @pytest.mark.parametrize("c", [1.0 + 1e-15, -1.0 - 1e-15, 2.0, -3.0])
+    def test_out_of_range_cosine_clipped(self, c):
+        k = _element(1.0, 2.0, 3.0, 4.0, c, c)
+        assert phase_cosines(k) == pytest.approx((max(-1.0, min(1.0, c)),) * 2, abs=1e-12)
 
 
 class TestReduceEnsemble:

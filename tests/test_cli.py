@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkd3 import DomainError, __version__
+from qkd3 import DomainError, KrausCoefficients, __version__, rates_from_ensemble
 from qkd3.cli import _distances, main
 
 
@@ -71,6 +71,20 @@ class TestBound:
             assert out == ""
             assert err.startswith("qkd3: domain error:")
             assert err.count("\n") == 1
+
+    def test_smallest_normal_eb_exit_code(self, capsys):
+        # unhalved, the witness at e_b = 2**-1022 would weigh more than a
+        # quarter of the largest double, which KrausCoefficients rejects
+        for alpha in ("0.5", "1e-300"):
+            code, out, err = run_cli(
+                capsys, "bound", "--eb", "2.2250738585072014e-308", "--alpha", alpha
+            )
+            assert (code, err) == (0, "")
+            rec = json.loads(out)
+            r = rates_from_ensemble([KrausCoefficients.deserialize(rec["witness"])])
+            assert (r.e_b, r.alpha, r.e_p) == pytest.approx(
+                (rec["e_b"], rec["alpha"], rec["ep_exact"]), rel=1e-9
+            )
 
 
 class TestFig1:

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qkd3.errors
 from qkd3 import (
     DomainError,
+    KrausCoefficients,
     approx_bound,
     exact_bound,
     exact_ep,
@@ -207,6 +208,39 @@ class TestExactBound:
             assert 0.0 <= res.ay_star <= 1.0
 
 
+class TestSoundnessNearBound:
+    """Attacks next to the bound's maximizer stay under the bound at their
+    own rates: a perturbed uncapped witness reaches a relative slack far
+    below 1e-9, where uniform random attacks keep about 1e-3, so a bound
+    set too low by 1e-9 fails here."""
+
+    log_rate = st.floats(min_value=math.log(1e-6), max_value=math.log(0.5))
+
+    @given(
+        log_rate,
+        log_rate,
+        st.floats(min_value=math.log(1e-8), max_value=math.log(1e-2)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_witness_within_bound(self, log_eb, log_alpha, log_eps, seed):
+        e_b, alpha = min(math.exp(log_eb), 0.5), min(math.exp(log_alpha), 0.5)
+        res = exact_bound(e_b, alpha)
+        assume(res.ep_uncapped <= 0.5)
+        w = res.witness
+        coords = np.array(
+            [x for a in (w.a_I, w.a_X, w.a_Y, w.a_Z) for x in (a.real, a.imag)]
+        )
+        # each of the 8 real coordinates moves by a relative eps at most
+        rng = np.random.default_rng(seed)
+        moved = coords * (1.0 + math.exp(log_eps) * rng.uniform(-1.0, 1.0, 8))
+        r = rates_from_ensemble(
+            [KrausCoefficients(*(complex(*moved[i : i + 2]) for i in range(0, 8, 2)))]
+        )
+        assume(r.e_b <= 0.5 and r.alpha <= 0.5)
+        assert r.e_p <= exact_ep(r.e_b, r.alpha, capped=False) * (1.0 + 1e-12)
+
+
 class TestExactEp:
     # log grid over [1e-15, 1/2] plus the exact axis, midpoint and edge values
     GRID = sorted(
@@ -357,7 +391,9 @@ class TestWitness:
     """Every witness attains the bound it comes with."""
 
     log_rate = st.floats(min_value=-15.0, max_value=LOG_HALF).map(lambda x: 10.0**x)
-    edge_rate = st.sampled_from([0.0, 0.5, 0.25, 1e-300, 1e-160, 2.3e-308, 1e-310, 5e-324])
+    edge_rate = st.sampled_from(
+        [0.0, 0.5, 0.25, 1e-300, 1e-160, 2.3e-308, 2.2250738585072014e-308, 1e-310, 5e-324]
+    )
 
     @given(st.one_of(log_rate, edge_rate), st.one_of(log_rate, edge_rate))
     @settings(max_examples=400, deadline=None)
@@ -474,6 +510,18 @@ class TestTinyRates:
             exact_ep(*point, capped=False)
         with pytest.raises(DomainError, match="overflows"):
             exact_bound(*point)
+
+    @pytest.mark.parametrize(
+        "point", [(2.2250738585072014e-308, 0.5), (2.2250738585072014e-308, 1e-300)], ids=str
+    )
+    def test_smallest_normal_eb_witness(self, point):
+        # eb_hat = 2**1022: the unhalved witness would weigh 2**1022, and
+        # 4x that overflows; the halved one reproduces the rates
+        res = exact_bound(*point)
+        assert res.ep_max == exact_ep(*point) > 0.0
+        assert res.witness.total_weight == pytest.approx(2.0**1020, rel=1e-12)
+        r = rates_from_ensemble([res.witness])
+        assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, res.ep_max), rel=1e-9)
 
     def test_smallest_bounded_product(self):
         # e_b * alpha = 1e-308 still has finite odds ratios
