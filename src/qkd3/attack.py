@@ -8,6 +8,10 @@ three-state protocol depends only on the summed squared magnitudes
 ensemble, any two elements can be merged into one that induces exactly
 the same rates (`combine_pair`), and any ensemble folds down to a single
 element (`reduce_ensemble`).
+
+Everything here runs on Python floats and complex numbers; numpy is
+imported inside `random_attack` alone, for its draws, so that importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DegenerateAttackError, SamplingError
 
@@ -230,6 +232,8 @@ def random_attack(seed: int, region: bool = False) -> KrausCoefficients:
     (uniform on the coefficient sphere).  With ``region=True`` draws are
     rejected until the induced rates satisfy e_b <= 1/2 and alpha <= 1/2.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REJECTION_DRAWS):
         v = rng.standard_normal(8)

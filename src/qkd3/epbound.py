@@ -65,7 +65,11 @@ crossing takes over: the same Illinois search, to 1e-15 in v, for
 e_b * h(v) = 1/2 between v = gamma, if it is below the cap, and the
 maximizer.  The other endpoint is never below the cap when gamma is
 not: as sin(gamma) <= cos(gamma), |a_Z| at gamma is at most |a_Z| at
-gamma + pi/2, where |a_Y| = 1, so h(gamma + pi/2) >= h(gamma) + 1.  All
+gamma + pi/2, where |a_Y| = 1, so h(gamma + pi/2) >= h(gamma) + 1.  At
+alpha = 1/2 with e_b below about 1e-30, e_b * h exceeds 1/2 by rounding
+alone, from gamma on, so neither finds an attack; the maximizer's attack
+then serves if it reproduces (e_b, alpha, 1/2) to 1e-9, and otherwise
+`exact_bound` raises DomainError.  All
 of the package's 1-D searches (the secure-region frontier, the decoy
 secure distance and the decoy's optimal mu, a root of dR/dmu, too) use
 `_illinois_root`.
@@ -76,9 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .attack import KrausCoefficients, _element
+from .attack import KrausCoefficients, _element, rates_from_ensemble
 from .errors import DomainError
 
 _V_TOL = 1e-12  # root-search tolerance in v
@@ -239,12 +241,15 @@ def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
     Fixing |a_Y|^2 + |a_Z|^2 = (eb_hat + 1)/2 pins e_p to 1/2; the two
     interference cosines are then free to meet the alpha constraint,
     which they can whenever the attainable ranges of |a_I + a_X|^2 and
-    alpha_hat * |i a_Y - a_Z|^2 overlap for some |a_Y|.
+    alpha_hat * |i a_Y - a_Z|^2 overlap for some |a_Y|.  The scan walks
+    |a_Y| = i * (1 / 2000), i = 0..2000, on Python floats (1.0 exactly at
+    the end; the same 2001 values as numpy's linspace(0, 1, 2001)) and
+    returns the attack at the first |a_Y| where the ranges overlap.
     """
     ah, eh = angles.alpha_hat, angles.eb_hat
     q = 0.5 * (eh + 1.0)  # |a_Y|^2 + |a_Z|^2 forcing e_p = 1/2
-    for y in np.linspace(0.0, 1.0, 2001):
-        y = float(y)
+    for i in range(2001):
+        y = i * (1.0 / 2000)
         z = math.sqrt(max(q - y * y, 0.0))
         x = math.sqrt(max(1.0 - y * y, 0.0))
         ii = math.sqrt(max(eh - z * z, 0.0))
@@ -259,6 +264,15 @@ def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
         )
         return _element(ii, x, y, z, c_ix, c_yz)
     return None
+
+
+def _attains(witness: KrausCoefficients, rates: tuple[float, float, float]) -> bool:
+    """Whether the witness reproduces (e_b, alpha, e_p) to 1e-9 relative."""
+    r = rates_from_ensemble([witness])
+    return all(
+        math.isclose(got, want, rel_tol=1e-9)
+        for got, want in zip((r.e_b, r.alpha, r.e_p), rates)
+    )
 
 
 def _limiting_case(e_b: float, alpha: float) -> BoundResult:
@@ -302,11 +316,13 @@ def exact_bound(e_b: float, alpha: float) -> BoundResult:
     witness = _capped_witness(angles)
     if witness is None:
         v_cap = angles.crossing(e_b, v_star)
-        if v_cap is None:
+        # None also where val exceeds 1/2 by rounding alone (alpha = 1/2,
+        # e_b below about 1e-30): the maximizer itself then serves
+        witness = angles.witness(v_star if v_cap is None else v_cap)
+        if v_cap is None and not _attains(witness, (e_b, alpha, EP_CAP)):
             raise DomainError(
                 f"no attack with e_p = 1/2 found at (e_b, alpha)=({e_b}, {alpha})"
             )
-        witness = angles.witness(v_cap)
     return BoundResult(EP_CAP, witness, "exact", val)
 
 

@@ -16,7 +16,9 @@ child 1 the Z check errors as Binomial(N, e_b), child 2 the X check
 errors as Binomial(2N, alpha).  This is exact: errors are iid given the
 basis and independent of which sifted rounds the uniform check subsets
 pick, so each subset's error count is binomial and independent of the
-split.  A run takes the same time and memory at every N.
+split.  A run takes the same time and memory at every N.  numpy is
+imported inside `_substreams`, on the first run, so that importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .attack import KrausCoefficients, rates_from_ensemble
 from .errors import InsufficientSiftError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _N_SUBSTREAMS = 3
 _SIGMA_FACTOR = 5.0  # deviation flag threshold, in binomial sigmas
@@ -68,6 +72,8 @@ class ProtocolStats:
 
 
 def _substreams(seed: int) -> list[np.random.Generator]:
+    import numpy as np
+
     children = np.random.SeedSequence(seed).spawn(_N_SUBSTREAMS)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 

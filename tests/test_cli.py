@@ -86,6 +86,18 @@ class TestBound:
                 (rec["e_b"], rec["alpha"], rec["ep_exact"]), rel=1e-9
             )
 
+    def test_alpha_half_rounding_over_cap_exit_code(self, capsys):
+        # the uncapped value rounds to 0.5000000000000001 at these points
+        for eb in ("3.1571837583107767e-34", "2.2312818145724366e-308"):
+            code, out, err = run_cli(capsys, "bound", "--eb", eb, "--alpha", "0.5")
+            assert (code, err) == (0, "")
+            rec = json.loads(out)
+            assert rec["ep_exact"] == 0.5
+            r = rates_from_ensemble([KrausCoefficients.deserialize(rec["witness"])])
+            assert (r.e_b, r.alpha, r.e_p) == pytest.approx(
+                (rec["e_b"], 0.5, 0.5), rel=1e-9
+            )
+
 
 class TestFig1:
     def test_columns_and_rows(self, capsys):
@@ -436,6 +448,12 @@ class TestOutputPinned:
             "3a753cc3403b2369b55ef4fdfd914d3261c2095d64b71ac31f7145f234fa2f3c",
         ("bound", "--eb", "0.5", "--alpha", "0.5"):
             "2c53af802e9a1f43ee365d301a89903ec47711e41bb686de8c15d728197c6cd1",
+        # alpha = 1/2 where the uncapped value rounds just above the cap
+        # and the maximizer's witness serves (0.9.0)
+        ("bound", "--eb", "3.1571837583107767e-34", "--alpha", "0.5"):
+            "48050c5c19ff2dbc90698382a0bdf23446c5dc2a1fa198148bc0a6c2565b28e9",
+        ("bound", "--eb", "2.2312818145724366e-308", "--alpha", "0.5"):
+            "18c112faf7b8a959fe464178a9cc0c9936a840bff5a67fbc1c56737f51331a24",
         ("simulate", "--N", "100000", "--seed", "7", "--attack",
          "0.9486832980505138,0,0,0,0,0,0,0.31622776601683794"):
             "2c99d0686794636e9d785153f464162ec08df9369da428df5d2fa2e1ccc5c6c1",

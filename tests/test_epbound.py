@@ -210,24 +210,16 @@ class TestExactBound:
 
 class TestSoundnessNearBound:
     """Attacks next to the bound's maximizer stay under the bound at their
-    own rates: a perturbed uncapped witness reaches a relative slack far
-    below 1e-9, where uniform random attacks keep about 1e-3, so a bound
-    set too low by 1e-9 fails here."""
+    own rates: a perturbed maximizer, capped or not, reaches a relative
+    slack far below 1e-9, where uniform random attacks keep about 1e-3, so
+    a bound set too low by 1e-9 fails here."""
 
     log_rate = st.floats(min_value=math.log(1e-6), max_value=math.log(0.5))
+    log_eps = st.floats(min_value=math.log(1e-8), max_value=math.log(1e-2))
+    seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
-    @given(
-        log_rate,
-        log_rate,
-        st.floats(min_value=math.log(1e-8), max_value=math.log(1e-2)),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_perturbed_witness_within_bound(self, log_eb, log_alpha, log_eps, seed):
-        e_b, alpha = min(math.exp(log_eb), 0.5), min(math.exp(log_alpha), 0.5)
-        res = exact_bound(e_b, alpha)
-        assume(res.ep_uncapped <= 0.5)
-        w = res.witness
+    @staticmethod
+    def assert_perturbed_within_bound(w, log_eps, seed):
         coords = np.array(
             [x for a in (w.a_I, w.a_X, w.a_Y, w.a_Z) for x in (a.real, a.imag)]
         )
@@ -239,6 +231,30 @@ class TestSoundnessNearBound:
         )
         assume(r.e_b <= 0.5 and r.alpha <= 0.5)
         assert r.e_p <= exact_ep(r.e_b, r.alpha, capped=False) * (1.0 + 1e-12)
+
+    @given(log_rate, log_rate, log_eps, seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_witness_within_bound(self, log_eb, log_alpha, log_eps, seed):
+        e_b, alpha = min(math.exp(log_eb), 0.5), min(math.exp(log_alpha), 0.5)
+        res = exact_bound(e_b, alpha)
+        assume(res.ep_uncapped <= 0.5)
+        self.assert_perturbed_within_bound(res.witness, log_eps, seed)
+
+    # alpha = 1/2 - gap with gap log-uniform: about 3 in 4 such points are
+    # capped, where the reported witness sits at e_p = 1/2 and so the
+    # uncapped maximizer is perturbed instead
+    log_gap = st.floats(min_value=math.log(1e-6), max_value=math.log(0.49))
+
+    @given(log_rate, log_gap, log_eps, seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_capped_maximizer_within_bound(
+        self, log_eb, log_gap, log_eps, seed
+    ):
+        e_b, alpha = min(math.exp(log_eb), 0.5), 0.5 - math.exp(log_gap)
+        a = _Angles(e_b, alpha)
+        v_star, h_max = a.maximize()
+        assume(e_b * h_max > 0.5)
+        self.assert_perturbed_within_bound(a.witness(v_star), log_eps, seed)
 
 
 class TestExactEp:
@@ -522,6 +538,18 @@ class TestTinyRates:
         assert res.witness.total_weight == pytest.approx(2.0**1020, rel=1e-12)
         r = rates_from_ensemble([res.witness])
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, res.ep_max), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "e_b", [3.1571837583107767e-34, 2.2312818145724366e-308], ids=str
+    )
+    def test_alpha_half_rounding_over_cap(self, e_b):
+        # e_b * h rounds above 1/2 from gamma to the maximizer, so neither
+        # the |a_Y| grid nor the crossing finds an attack; the maximizer's
+        # own witness reproduces (e_b, 1/2, 1/2)
+        res = exact_bound(e_b, 0.5)
+        assert res.ep_max == exact_ep(e_b, 0.5) == 0.5 < res.ep_uncapped
+        r = rates_from_ensemble([res.witness])
+        assert (r.e_b, r.alpha, r.e_p) == pytest.approx((e_b, 0.5, 0.5), rel=1e-9)
 
     def test_smallest_bounded_product(self):
         # e_b * alpha = 1e-308 still has finite odds ratios
