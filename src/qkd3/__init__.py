@@ -56,4 +56,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -4,7 +4,9 @@ R = 1 - H2(e_b) - H2(e_p) bits of key per sifted bit, with e_p taken
 from the exact or the closed-form approximate phase-error bound.  The
 thresholds are the sign change of R in e_b on [0, 1/2], found to 1e-6
 by the bracketed Illinois search of `epbound`, about 10 rate evaluations
-each.
+each.  The search runs on a plain float rate: the bound function is
+resolved from the method once per search, and no `KeyRatePoint` is built
+per evaluation.
 """
 
 from __future__ import annotations
@@ -37,13 +39,19 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _bound(e_b: float, alpha: float, method: str) -> float:
+def _simple_capped(e_b: float, alpha: float) -> float:
+    return min(simple_bound(e_b, alpha), EP_CAP)
+
+
+def _bound_for(method: str):
+    """The bound e_p(e_b, alpha) of a method.  The bound functions are read
+    from the module globals at each call, so a rebinding of them is seen."""
     if method == "exact":
-        return exact_ep(e_b, alpha)
+        return exact_ep
     if method == "approximate":
-        return approx_bound(e_b, alpha)
+        return approx_bound
     if method == "simple":
-        return min(simple_bound(e_b, alpha), EP_CAP)
+        return _simple_capped
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
@@ -54,7 +62,7 @@ def key_rate_single_photon(
 
     The rate may be negative (no key); callers decide whether to clamp.
     """
-    ep = _bound(e_b, alpha, method)
+    ep = _bound_for(method)(e_b, alpha)
     rate = 1.0 - binary_entropy(e_b) - binary_entropy(ep)
     return KeyRatePoint(e_b=e_b, alpha=alpha, e_p_used=ep, R=rate)
 
@@ -76,7 +84,10 @@ def tolerable_eb(alpha: float, method: str = "approximate") -> float:
 
     Returns 0 when the rate is already nonpositive at e_b = 0.
     """
-    return _threshold(lambda e: key_rate_single_photon(e, alpha, method).R)
+    bound = _bound_for(method)
+    return _threshold(
+        lambda e: 1.0 - binary_entropy(e) - binary_entropy(bound(e, alpha))
+    )
 
 
 def tolerable_eb_equal(method: str = "approximate") -> float:
@@ -84,7 +95,10 @@ def tolerable_eb_equal(method: str = "approximate") -> float:
 
     With the simple method the bound there is e_p = 5*e_b.
     """
-    return _threshold(lambda e: key_rate_single_photon(e, e, method).R)
+    bound = _bound_for(method)
+    return _threshold(
+        lambda e: 1.0 - binary_entropy(e) - binary_entropy(bound(e, e))
+    )
 
 
 def bb84_tolerable_eb() -> float:

@@ -423,6 +423,10 @@ class TestOutputPinned:
             "c6ddb85c4cf55595b95a8fc7a3bfbc55af884f2ddc011bb398982ad48870c338",
         ("region", "--method", "exact"):
             "37d3a98a8ccf95c7625a6b80e2bc422b1d668d91ddd8f068dc1f8232d24a064e",
+        ("region", "--method", "approx"):
+            "31fe257c581cb0c90c99ba15b95d0aaab1086d95057130c79ddc37ebaaa70d77",
+        ("region", "--method", "simple"):
+            "611676f491a87937162644997ed12591b09885b103961e510cb0ba2c08256bf0",
         ("decoy", "--protocol", "three-state"):
             "b43a2bde3273d13290c1cf4668fd7723e1304684f9cff22ec798d8f12576cc87",
         ("region", "--method", "exact", "--steps", "21"):

@@ -257,6 +257,71 @@ class TestSoundnessNearBound:
         self.assert_perturbed_within_bound(a.witness(v_star), log_eps, seed)
 
 
+class TestSoundnessHillClimb:
+    """A seeded random-direction hill-climb on e_p - exact_ep(e_b, alpha,
+    capped=False) over all 8 real attack coordinates, phases free, from
+    random starts: a missed global maximum of the bound would show as an
+    attack above it, where perturbing the bound's own maximizer would not.
+
+    Each start takes steps of length sigma in a random direction on the unit
+    sphere; a step that leaves [0, 1/2]^2 or does not raise the excess is
+    rejected.  sigma doubles on a success and shrinks by 2**(1/4) on a
+    failure (about the one-fifth success rule), so the climb closes in on
+    the bound at a geometric rate.
+    """
+
+    STARTS, STEPS = 16, 1500
+
+    @staticmethod
+    def rates(x):
+        """(e_b, alpha, e_p) of each row (Re/Im of a_I, a_X, a_Y, a_Z)."""
+        ir, ii, xr, xi, yr, yi, zr, zi = x.T
+        total = (x * x).sum(axis=1)
+        check_err = (yi + zr) ** 2 + (yr - zi) ** 2  # |i a_Y - a_Z|^2
+        check_ok = (ir + xr) ** 2 + (ii + xi) ** 2  # |a_I + a_X|^2
+        return (
+            (xr * xr + xi * xi + yr * yr + yi * yi) / total,
+            check_err / (check_err + check_ok),
+            (zr * zr + zi * zi + yr * yr + yi * yi) / total,
+        )
+
+    @classmethod
+    def excess(cls, x):
+        """(e_p - bound, bound) per row; the excess is -inf outside the
+        region."""
+        out = np.full((len(x), 2), [-np.inf, np.nan])
+        for k, (e_b, alpha, e_p) in enumerate(zip(*cls.rates(x))):
+            if e_b <= 0.5 and alpha <= 0.5:
+                bound = exact_ep(float(e_b), float(alpha), capped=False)
+                out[k] = e_p - bound, bound
+        return out[:, 0], out[:, 1]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_climb_reaches_but_never_exceeds_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.empty((self.STARTS, 8))
+        for k in range(self.STARTS):
+            while True:
+                x[k] = rng.standard_normal(8)
+                if np.isfinite(self.excess(x[k : k + 1])[0][0]):
+                    break
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        f, bound = self.excess(x)
+        sigma = np.full(self.STARTS, 0.1)
+        for _ in range(self.STEPS):
+            d = rng.standard_normal((self.STARTS, 8))
+            y = x + sigma[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            g, g_bound = self.excess(y)
+            up = g > f
+            x[up], f[up], bound[up] = y[up], g[up], g_bound[up]
+            sigma = np.maximum(np.where(up, 2.0 * sigma, sigma * 2.0**-0.25), 1e-12)
+        rel = f / bound
+        # the climb gets there: at least half the starts end within 1e-12
+        assert np.median(rel) > -1e-12
+        assert rel.max() <= 1e-12
+
+
 class TestExactEp:
     # log grid over [1e-15, 1/2] plus the exact axis, midpoint and edge values
     GRID = sorted(

@@ -87,6 +87,10 @@ class TestKeyRateSinglePhoton:
             key_rate_single_photon(0.01, 0.01, "loose")
         with pytest.raises(ValueError):
             tolerable_eb_equal("loose")
+        with pytest.raises(ValueError):
+            tolerable_eb(0.1, "loose")
+        with pytest.raises(ValueError):
+            secure_region_frontier(5, "loose")
 
     def test_simple_method_bound(self):
         p = key_rate_single_photon(0.01, 0.04, "simple")
@@ -160,18 +164,23 @@ class TestFrontier:
 
     @pytest.mark.parametrize("method", ["exact", "approximate", "simple"])
     def test_rate_evaluations_per_alpha(self, monkeypatch, method):
-        # about 10 an alpha; the bisection took 20 and more
+        # about 10 an alpha; the bisection took 20 and more.  The search
+        # evaluates a float rate, so count the bound calls it makes.
         count = 0
-        rate = qkd3.keyrate.key_rate_single_photon
 
-        def counted(*args):
-            nonlocal count
-            count += 1
-            return rate(*args)
+        def counted(bound):
+            def wrapper(*args):
+                nonlocal count
+                count += 1
+                return bound(*args)
 
-        monkeypatch.setattr(qkd3.keyrate, "key_rate_single_photon", counted)
+            return wrapper
+
+        for name in ("exact_ep", "approx_bound", "simple_bound"):
+            bound = getattr(qkd3.keyrate, name)
+            monkeypatch.setattr(qkd3.keyrate, name, counted(bound))
         secure_region_frontier(51, method)
-        assert count / 51 <= 12.0
+        assert 0 < count / 51 <= 12.0
 
     @given(
         st.floats(0.0, 0.5, allow_subnormal=False)
