@@ -9,22 +9,29 @@ alpha.  Phase errors are never sampled; they stay analytic, which is
 exactly what the bound is for.
 
 Only the announced counts are drawn, never the rounds: three draws
-from counter-based Philox streams split off one seed, substream k being
-Philox keyed by the k-th child of SeedSequence(seed).  Child 0 draws
-the (Z, X, discarded) sift split as Multinomial(m; 1/4, 1/4, 1/2),
-child 1 the Z check errors as Binomial(N, e_b), child 2 the X check
-errors as Binomial(2N, alpha).  This is exact: errors are iid given the
-basis and independent of which sifted rounds the uniform check subsets
-pick, so each subset's error count is binomial and independent of the
-split.  A run takes the same time and memory at every N.  numpy is
-imported inside `_substreams`, on the first run, so that importing the
-package does not load it.
+from one counter-based Philox stream keyed by SeedSequence(seed).
+Substream k is the counter block that starts at (0, 0, 0, k), so the
+substreams lie 2^192 blocks apart; before each draw the run's one bit
+generator is moved to the start of its substream, buffer emptied, by a
+single state assignment.  Substream 0 draws the (Z, X, discarded) sift
+split as Multinomial(m; 1/4, 1/4, 1/2), substream 1 the Z check errors
+as Binomial(N, e_b), substream 2 the X check errors as
+Binomial(2N, alpha).  Each count thus has a fixed stream position: at a
+given (seed, N, delta) the split never depends on the attack, the Z
+count depends on it only through e_b and the X count only through
+alpha.  This is exact: errors are iid given the basis and independent
+of which sifted rounds the uniform check subsets pick, so each subset's
+error count is binomial and independent of the split.  A run takes the
+same time and memory at every N.  numpy is imported inside
+`_substreams`, on the first run, so that importing the package does not
+load it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -34,7 +41,7 @@ from .errors import InsufficientSiftError
 if TYPE_CHECKING:
     import numpy as np
 
-_N_SUBSTREAMS = 3
+_SIFT, _Z_CHECK, _X_CHECK = 0, 1, 2  # substream (top counter word) of each draw
 _SIGMA_FACTOR = 5.0  # deviation flag threshold, in binomial sigmas
 _ROUNDS_LIMIT = 2.0**63  # 8N(1+delta) must stay below: multinomial takes int64 counts
 
@@ -71,11 +78,22 @@ class ProtocolStats:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _substreams(seed: int) -> list[np.random.Generator]:
+def _substreams(seed: int) -> Callable[[int], np.random.Generator]:
+    """stream(k): the run's one Generator, moved to the start of
+    substream k, the Philox counter block (0, 0, 0, k)."""
     import numpy as np
 
-    children = np.random.SeedSequence(seed).spawn(_N_SUBSTREAMS)
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
+    bit_gen = np.random.Philox(np.random.SeedSequence(seed))
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state  # counter (0, 0, 0, 0), buffer empty
+    counter = state["state"]["counter"]
+
+    def stream(k: int) -> np.random.Generator:
+        counter[3] = k
+        bit_gen.state = state
+        return gen
+
+    return stream
 
 
 def run_protocol(config: SimConfig) -> ProtocolStats:
@@ -89,17 +107,17 @@ def run_protocol(config: SimConfig) -> ProtocolStats:
     rates = rates_from_ensemble([config.attack])
     n = config.N
     m = round(8 * n * (1.0 + config.delta))
-    split, z_check, x_check = _substreams(config.seed)
+    stream = _substreams(config.seed)
 
-    n_z, n_x, _ = (int(c) for c in split.multinomial(m, [0.25, 0.25, 0.5]))
+    n_z, n_x, _ = (int(c) for c in stream(_SIFT).multinomial(m, [0.25, 0.25, 0.5]))
     if n_z < 2 * n or n_x < 2 * n:
         raise InsufficientSiftError(
             f"need 2N={2 * n} sifted rounds per basis, got "
             f"{n_z} (Z) and {n_x} (X)"
         )
     # data-bit errors are never announced, so they are never drawn
-    z_check_errors = int(z_check.binomial(n, rates.e_b))
-    x_check_errors = int(x_check.binomial(2 * n, rates.alpha))
+    z_check_errors = int(stream(_Z_CHECK).binomial(n, rates.e_b))
+    x_check_errors = int(stream(_X_CHECK).binomial(2 * n, rates.alpha))
     return ProtocolStats(
         transmitted=m,
         sifted=n_z + n_x,

@@ -460,7 +460,7 @@ class TestOutputPinned:
             "18c112faf7b8a959fe464178a9cc0c9936a840bff5a67fbc1c56737f51331a24",
         ("simulate", "--N", "100000", "--seed", "7", "--attack",
          "0.9486832980505138,0,0,0,0,0,0,0.31622776601683794"):
-            "2c99d0686794636e9d785153f464162ec08df9369da428df5d2fa2e1ccc5c6c1",
+            "d74c65556567155fdfeb6683bf010198e4ee38da5750fe5a5d207e6f272920f6",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)

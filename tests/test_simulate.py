@@ -134,6 +134,48 @@ class TestCountSampler:
             assert abs(x.mean() - mean) <= 5 * math.sqrt(var / runs), field
             assert 0.9 <= x.var(ddof=1) / var <= 1.1, field
 
+    def test_common_random_numbers(self):
+        # each count has its own substream: at a fixed (seed, N, delta) the
+        # split ignores the attack, the Z count sees only e_b, X only alpha
+        flipped_i = KrausCoefficients(
+            -math.sqrt(0.85), math.sqrt(0.05), 0, 1j * math.sqrt(0.10)
+        )
+        same_eb = (GENERIC, flipped_i)
+        same_alpha = (
+            KrausCoefficients(0.75, 0.25, 0, 0.3),
+            KrausCoefficients(0.5, 0.5, 0, 0.3),
+        )
+        ra, rb = (rates_from_ensemble([k]) for k in same_eb)
+        assert ra.e_b == rb.e_b and ra.alpha != rb.alpha
+        ra, rb = (rates_from_ensemble([k]) for k in same_alpha)
+        assert ra.alpha == rb.alpha and ra.e_b != rb.e_b
+
+        def run(attack, seed):
+            return run_protocol(SimConfig(N=5_000, attack=attack, seed=seed))
+
+        for seed in range(20):
+            attacks = (IDENTITY, BIT_FLIP, *same_eb, *same_alpha)
+            assert len({run(k, seed).sifted for k in attacks}) == 1
+            a, b = (run(k, seed) for k in same_eb)
+            assert a.z_check_errors == b.z_check_errors
+            a, b = (run(k, seed) for k in same_alpha)
+            assert a.x_check_errors == b.x_check_errors
+
+    def test_counts_share_no_stream(self):
+        # with e_b == alpha, two check counts drawn from one counter block
+        # would be strongly correlated; independent ones have |r| ~ 1/sqrt(runs)
+        attack = KrausCoefficients(1, 0, 0.3, 0)
+        rates = rates_from_ensemble([attack])
+        assert rates.e_b == rates.alpha
+        runs = 4_000
+        samples = [
+            run_protocol(SimConfig(N=2_000, attack=attack, seed=s)) for s in range(runs)
+        ]
+        z = [st.z_check_errors for st in samples]
+        x = [st.x_check_errors for st in samples]
+        r = np.corrcoef(z, x)[0, 1]
+        assert abs(r) <= 5 / math.sqrt(runs)
+
     def test_cli_large_n(self, capsys):
         argv = ["simulate", "--N", "100000000", "--seed", "1"]
         assert main(argv + ["--attack", GENERIC.serialize()]) == 0
