@@ -56,4 +56,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

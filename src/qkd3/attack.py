@@ -4,10 +4,10 @@ One attack element is E = a_I*I + a_X*X + a_Y*Y + a_Z*Z with complex
 amplitudes.  The error-rate triple (e_b, alpha, e_p) induced on the
 three-state protocol depends only on the summed squared magnitudes
 |a_beta|^2 and the two interference terms |a_I + a_X|^2 and
-|i*a_Y - a_Z|^2.  Because all five quantities are additive over an
-ensemble, any two elements can be merged into one that induces exactly
-the same rates (`combine_pair`), and any ensemble folds down to a single
-element (`reduce_ensemble`).
+|i*a_Y - a_Z|^2.  All six are additive over an ensemble, so any two
+elements merge into one element with a_X, a_Y real and nonnegative and
+the phases in a_I, a_Z, which keeps the rates to rounding
+(`combine_pair`), and any ensemble folds down to one (`reduce_ensemble`).
 
 Everything here runs on Python floats and complex numbers; numpy is
 imported inside `random_attack` alone, for its draws, so that importing
@@ -16,7 +16,6 @@ the package does not load it.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -158,61 +157,57 @@ def rates_from_ensemble(ensemble: AttackEnsemble) -> ErrorRates:
     )
 
 
-def _clip(c: float) -> float:
-    """A cosine clipped to [-1, 1] (Cauchy-Schwarz, past float rounding)."""
-    return min(1.0, max(-1.0, c))
-
-
 def phase_cosines(k: KrausCoefficients) -> tuple[float, float]:
     """(c_IX, c_YZ) with |a_I+a_X|^2 = |a_I|^2+|a_X|^2+2*c_IX*|a_I||a_X|
-    and |i a_Y-a_Z|^2 = |a_Y|^2+|a_Z|^2-2*c_YZ*|a_Y||a_Z|; a cosine is 0
-    where either of its magnitudes is."""
+    and |i a_Y-a_Z|^2 = |a_Y|^2+|a_Z|^2-2*c_YZ*|a_Y||a_Z|, in [-1, 1];
+    a cosine is 0 where either of its magnitudes is."""
     cosines = []
     for u, v in ((k.a_I, k.a_X), (1j * k.a_Y, k.a_Z)):
         m = abs(u) * abs(v)
-        cosines.append(_clip((u * v.conjugate()).real / m) if m else 0.0)
+        c = (u * v.conjugate()).real / m if m else 0.0
+        cosines.append(min(1.0, max(-1.0, c)))
     return cosines[0], cosines[1]
 
 
 def _element(
-    m_i: float, m_x: float, m_y: float, m_z: float, c_ix: float, c_yz: float
+    m_i: float, m_x: float, m_y: float, m_z: float, ok: float, err: float
 ) -> KrausCoefficients:
     """The canonical attack element with magnitudes m_* and interference
-    cosines c_IX, c_YZ (as in `phase_cosines`, clipped to [-1, 1]): a_X
-    and a_Y real and nonnegative, a_I carries the I/X phase gap, a_Z the
-    Y/Z one."""
+    terms ok = |a_I + a_X|^2, err = |i a_Y - a_Z|^2: a_X = m_x, a_Y = m_y,
+    a_I = m_i e^{i chi} and a_Z = i m_z e^{-i phi}, from the half angles
+
+        t = sin^2(chi/2) = ((m_i + m_x)^2 - ok) / (4 m_i m_x),
+        u = sin^2(phi/2) = (err - (m_y - m_z)^2) / (4 m_y m_z)
+
+    as a_I = m_i (1 - 2t + 2i sqrt(t(1 - t))) and a_Z = m_z (2 sqrt(u(1 -
+    u)) + i (1 - 2u)).  t and u are clipped to [0, 1] (a target outside
+    [(m - m')^2, (m + m')^2] gives the nearest end), and are 1/2, a
+    quarter turn, where their magnitude product is 0."""
+    p, q = 4.0 * m_i * m_x, 4.0 * m_y * m_z
+    t = min(1.0, max(0.0, ((m_i + m_x) ** 2 - ok) / p)) if p else 0.5
+    u = min(1.0, max(0.0, (err - (m_y - m_z) ** 2) / q)) if q else 0.5
     return KrausCoefficients(
-        m_i * cmath.exp(1j * math.acos(_clip(c_ix))),
+        m_i * complex(1.0 - 2.0 * t, 2.0 * math.sqrt(t * (1.0 - t))),
         m_x,
         m_y,
-        m_z * cmath.exp(1j * (math.pi / 2 - math.acos(_clip(c_yz)))),
+        m_z * complex(2.0 * math.sqrt(u * (1.0 - u)), 1.0 - 2.0 * u),
     )
 
 
 def combine_pair(
     s1: KrausCoefficients, s2: KrausCoefficients
 ) -> KrausCoefficients:
-    """Merge two attack elements into one inducing identical error rates.
-
-    The output magnitudes are root-sum-squares of the inputs'; its
-    interference terms Re(a_I conj a_X) and Re(i a_Y conj a_Z) are the
-    sums of the inputs', so |a_I + a_X|^2 and |i a_Y - a_Z|^2 add up too.
-    The element is `_element`'s; a cosine whose magnitudes vanish is 0
-    (the phase is then immaterial).
+    """Merge two attack elements into one with their error rates, to
+    rounding: the `_element` with the root-sum-squares of the inputs'
+    magnitudes and the sums of their |a_I + a_X|^2 and |i a_Y - a_Z|^2.
     """
-    m_i = math.hypot(abs(s1.a_I), abs(s2.a_I))
-    m_x = math.hypot(abs(s1.a_X), abs(s2.a_X))
-    m_y = math.hypot(abs(s1.a_Y), abs(s2.a_Y))
-    m_z = math.hypot(abs(s1.a_Z), abs(s2.a_Z))
-    ix = (s1.a_I * s1.a_X.conjugate() + s2.a_I * s2.a_X.conjugate()).real
-    yz = (1j * (s1.a_Y * s1.a_Z.conjugate() + s2.a_Y * s2.a_Z.conjugate())).real
     return _element(
-        m_i,
-        m_x,
-        m_y,
-        m_z,
-        ix / (m_i * m_x) if m_i * m_x else 0.0,
-        yz / (m_y * m_z) if m_y * m_z else 0.0,
+        math.hypot(abs(s1.a_I), abs(s2.a_I)),
+        math.hypot(abs(s1.a_X), abs(s2.a_X)),
+        math.hypot(abs(s1.a_Y), abs(s2.a_Y)),
+        math.hypot(abs(s1.a_Z), abs(s2.a_Z)),
+        abs(s1.a_I + s1.a_X) ** 2 + abs(s2.a_I + s2.a_X) ** 2,
+        abs(1j * s1.a_Y - s1.a_Z) ** 2 + abs(1j * s2.a_Y - s2.a_Z) ** 2,
     )
 
 

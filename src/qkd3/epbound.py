@@ -56,7 +56,7 @@ gives away everything, so larger values are never needed.  A capped
 `exact_bound` still returns an attack with e_p exactly 1/2, and its
 `ay_star` is that attack's |a_Y|.  `_capped_witness` runs first, on the
 odds ratios of the `_Angles` that found the maximum: it scans a
-2001-point |a_Y| grid with the two interference phases free, so it also
+2001-point |a_Y| grid with the two interference terms free, so it also
 covers alpha above about 0.35, where every aligned attack has e_p >
 1/2, and returns the first attack it finds.  Where the grid finds
 nothing (e_b > 1/4 with small alpha, where the feasible window narrows
@@ -239,12 +239,13 @@ def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
     """Attack element with e_p = 1/2 at the given (e_b, alpha), or None.
 
     Fixing |a_Y|^2 + |a_Z|^2 = (eb_hat + 1)/2 pins e_p to 1/2; the two
-    interference cosines are then free to meet the alpha constraint,
+    interference terms are then free to meet the alpha constraint,
     which they can whenever the attainable ranges of |a_I + a_X|^2 and
     alpha_hat * |i a_Y - a_Z|^2 overlap for some |a_Y|.  The scan walks
     |a_Y| = i * (1 / 2000), i = 0..2000, on Python floats (1.0 exactly at
-    the end; the same 2001 values as numpy's linspace(0, 1, 2001)) and
-    returns the attack at the first |a_Y| where the ranges overlap.
+    the end; the same 2001 values as numpy's linspace(0, 1, 2001)) and at
+    the first |a_Y| where the ranges overlap returns the `_element` with
+    |a_I + a_X|^2 = w and |i a_Y - a_Z|^2 = w / alpha_hat, w mid-overlap.
     """
     ah, eh = angles.alpha_hat, angles.eb_hat
     q = 0.5 * (eh + 1.0)  # |a_Y|^2 + |a_Z|^2 forcing e_p = 1/2
@@ -258,11 +259,7 @@ def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
         if max(lo_l, lo_r) > min(hi_l, hi_r):
             continue
         w = 0.5 * (max(lo_l, lo_r) + min(hi_l, hi_r))
-        c_ix = (w - ii * ii - x * x) / (2.0 * ii * x) if ii * x > 0.0 else 0.0
-        c_yz = (
-            (y * y + z * z - w / ah) / (2.0 * y * z) if y * z > 0.0 else 0.0
-        )
-        return _element(ii, x, y, z, c_ix, c_yz)
+        return _element(ii, x, y, z, w, w / ah)
     return None
 
 

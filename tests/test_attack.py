@@ -10,6 +10,7 @@ from qkd3 import (
     DegenerateAttackError,
     KrausCoefficients,
     combine_pair,
+    exact_bound,
     phase_cosines,
     random_attack,
     rates_from_ensemble,
@@ -153,6 +154,23 @@ class TestCombinePair:
         assert -1.0 <= c_ix <= 1.0
         assert -1.0 <= c_yz <= 1.0
 
+    def test_nearby_witnesses_at_small_alpha(self):
+        # two bound witnesses a relative 1e-9..1e-5 apart: their
+        # interference terms nearly cancel at small alpha, and the merge
+        # must still keep the rates of the pair
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            alpha = 10.0 ** rng.uniform(-12.0, -3.0)
+            e_b = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+            f = 1.0 + 10.0 ** rng.uniform(-9.0, -5.0)
+            s1 = exact_bound(e_b, alpha).witness
+            s2 = exact_bound(min(e_b * f, 0.5), alpha * f).witness
+            pair = rates_from_ensemble([s1, s2])
+            merged = rates_from_ensemble([combine_pair(s1, s2)])
+            assert (merged.e_b, merged.alpha, merged.e_p) == pytest.approx(
+                (pair.e_b, pair.alpha, pair.e_p), rel=1e-9, abs=0.0
+            )
+
     def test_weight_additivity(self):
         s1, s2 = random_attack(3), random_attack(4)
         out = combine_pair(s1, s2)
@@ -162,25 +180,46 @@ class TestCombinePair:
 
 
 magnitude = st.floats(min_value=1e-100, max_value=1e100)
-cosine = st.floats(min_value=-1.0, max_value=1.0)
+fraction = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestElement:
     """`_element`, the canonical form of an attack element."""
 
-    @given(st.tuples(*[magnitude] * 4), cosine, cosine)
-    def test_cosines_and_magnitudes_come_back(self, mags, c_ix, c_yz):
-        k = _element(*mags, c_ix, c_yz)
-        assert phase_cosines(k) == pytest.approx((c_ix, c_yz), abs=1e-12)
+    @given(st.tuples(*[magnitude] * 4), fraction, fraction)
+    def test_targets_and_magnitudes_come_back(self, mags, f_ok, f_err):
+        m_i, m_x, m_y, m_z = mags
+        # targets anywhere in their attainable ranges [(m - m')^2, (m + m')^2]
+        ok = (m_i - m_x) ** 2 + f_ok * 4.0 * m_i * m_x
+        err = (m_y - m_z) ** 2 + f_err * 4.0 * m_y * m_z
+        k = _element(*mags, ok, err)
+        assert abs(abs(k.a_I + k.a_X) ** 2 - ok) <= 1e-12 * (m_i + m_x) ** 2
+        assert abs(abs(1j * k.a_Y - k.a_Z) ** 2 - err) <= 1e-12 * (m_y + m_z) ** 2
+        # |1 - 2t + 2i sqrt(t(1 - t))| is 1 to about an ulp
         for m, a in zip(mags, (k.a_I, k.a_X, k.a_Y, k.a_Z)):
-            assert abs(abs(a) - m) <= math.ulp(m)
+            assert abs(abs(a) - m) <= 2.0 * math.ulp(m)
         # the phase convention: a_X and a_Y real and nonnegative
-        assert k.a_X == mags[1] and k.a_Y == mags[2]
+        assert k.a_X == m_x and k.a_Y == m_y
 
     @pytest.mark.parametrize("c", [1.0 + 1e-15, -1.0 - 1e-15, 2.0, -3.0])
     def test_out_of_range_cosine_clipped(self, c):
-        k = _element(1.0, 2.0, 3.0, 4.0, c, c)
+        # the targets of cosine c at magnitudes (1, 2, 3, 4); past [-1, 1]
+        # they leave [(m - m')^2, (m + m')^2] and clip to its nearest end
+        k = _element(1.0, 2.0, 3.0, 4.0, 5.0 + 4.0 * c, 25.0 - 24.0 * c)
+        ends = (9.0, 1.0) if c > 0 else (1.0, 49.0)
+        assert (abs(k.a_I + k.a_X) ** 2, abs(1j * k.a_Y - k.a_Z) ** 2) == (
+            pytest.approx(ends, rel=1e-12)
+        )
         assert phase_cosines(k) == pytest.approx((max(-1.0, min(1.0, c)),) * 2, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "mags", [(2.0, 0.0, 0.0, 3.0), (0.0, 2.0, 3.0, 0.0), (1e-170, 1e-170, 1e-170, 1e-170)]
+    )
+    def test_vanishing_product_gives_quarter_turn(self, mags):
+        # a magnitude product of 0 (1e-170 squared underflows) puts a_I a
+        # quarter turn from a_X and makes a_Z real, whatever the targets
+        k = _element(*mags, 5.0, 7.0)
+        assert k == KrausCoefficients(1j * mags[0], mags[1], mags[2], mags[3])
 
 
 class TestReduceEnsemble:

@@ -418,7 +418,7 @@ class TestOutputPinned:
         ("bound", "--eb", "0.05", "--alpha", "0.05"):
             "5106fdb29ef557e09fa44f978fa81228f83ad29d6fc7a235f2524065afa0cf71",
         ("bound", "--eb", "0.3", "--alpha", "0.3"):
-            "0e1ea8d860609b7b9ec0fd597462c91ca2278050d472761869c33848b36ca07c",
+            "04e261c7bb76d232121a97d9081ead4c5e4c4cd92cc77825b0e892b2f931680d",
         ("fig1",):
             "c6ddb85c4cf55595b95a8fc7a3bfbc55af884f2ddc011bb398982ad48870c338",
         ("region", "--method", "exact"):
@@ -438,8 +438,9 @@ class TestOutputPinned:
         ("decoy", "--protocol", "bb84", "--L-step", "1"):
             "bf2d17553a76bd9a82be777e152a49290bfc731174f1c5c390466ce7e5024590",
         # one per exact_bound branch: e_b = 0 (an int a_Y), alpha = 0 below
-        # and above the cap, the aligned crossing, the capped |a_Y| grid,
-        # and the closed form at e_b = 1/2
+        # and above the cap, the aligned crossing, and the capped |a_Y| grid
+        # through `_element` (at e_b = 1/2 too: e_b * h = 1 is capped, and
+        # its witness has a vanishing magnitude product)
         ("bound", "--eb", "0", "--alpha", "0.3"):
             "e30c75047eab9e455f38954ff268e4dd7c3d0dc24dd93896ffbc4b0b15c6fc52",
         ("bound", "--eb", "0.1", "--alpha", "0"):
@@ -449,7 +450,7 @@ class TestOutputPinned:
         ("bound", "--eb", "0.3", "--alpha", "1e-8"):
             "edab8673388712db416b54b97d5e4372f50647e4ae9180323c204a9cd5963ad4",
         ("bound", "--eb", "0.01", "--alpha", "0.44"):
-            "3a753cc3403b2369b55ef4fdfd914d3261c2095d64b71ac31f7145f234fa2f3c",
+            "69922958913f38312eb801acb7fd4f87e85d3dd39b50cb26ce87d4f65a67aba2",
         ("bound", "--eb", "0.5", "--alpha", "0.5"):
             "2c53af802e9a1f43ee365d301a89903ec47711e41bb686de8c15d728197c6cd1",
         # alpha = 1/2 where the uncapped value rounds just above the cap

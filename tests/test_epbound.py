@@ -515,7 +515,8 @@ class TestWitness:
     # exact_ep (capped, uncapped) and exact_bound's (ep_max, ep_uncapped,
     # ay_star, method, witness), recorded from the root search on h'
     # (0.4.0); the two aligned-crossing witnesses from its Illinois search
-    # (0.5.0)
+    # (0.5.0); the |a_Y|-grid witnesses (0.3, 0.3) and (1e-15, 0.5) from the
+    # half-angle `_element` (0.12.0)
     PINNED = {
         (0.05, 0.05): (
             "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
@@ -528,8 +529,8 @@ class TestWitness:
             "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
             "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
             "0x1.8f5c28f5c28f6p-4", "exact",
-            "0.8222316002930461,0.01039769908216101,0.9952355248884557,0.0,"
-            "0.0975,0.0,0.027209502216687474,1.2870198365432395",
+            "0.8222316002930462,0.010397699082154821,0.9952355248884557,0.0,"
+            "0.0975,0.0,0.027209502216650156,1.2870198365432404",
         ),
         (0.2407, 6.9e-4): (
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
@@ -549,7 +550,7 @@ class TestWitness:
             "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
             "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
             "0x0.0p+0", "exact",
-            "-0.06250000042913137,22360679.774997875,1.0,0.0,"
+            "-0.0687521250413688,22360679.774997875,1.0,0.0,"
             "0.0,0.0,22360679.774997894,0.0",
         ),
     }
