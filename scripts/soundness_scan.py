@@ -65,6 +65,8 @@ def main() -> None:
         "--near", action="store_true", help="perturbed maximizers, not random attacks"
     )
     args = ap.parse_args()
+    if args.attacks < 1:
+        ap.error("--attacks must be at least 1")
 
     label, attacks = ("draw", near_attacks) if args.near else ("seed", random_attacks)
     t0 = time.perf_counter()

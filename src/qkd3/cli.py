@@ -1,10 +1,12 @@
-"""Command-line interface: bounds, figure-style sweeps, simulations.
+"""Command-line interface: bounds, figure-style sweeps, headline claims,
+simulations.
 
 Subcommands write CSV/JSON to stdout or --out FILE; with --out a sidecar
 FILE.manifest.json records the subcommand, parameters, version and the
 output's sha256 so runs can be reproduced byte-identically.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 simulation error.
+Exit codes: 0 success, 2 parse error, 3 domain error or no secure
+distance, 4 simulation error.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
+from . import __version__, decoy, keyrate
 from .attack import KrausCoefficients
 from .decoy import GYS, DecoyObservables, _optimize, load_channel_params
 from .epbound import approx_bound, exact_bound, exact_ep, simple_bound
-from .errors import DomainError, InsufficientSiftError, SamplingError
+from .errors import (
+    DomainError, InsufficientSiftError, NoSecureDistanceError, SamplingError
+)
 from .keyrate import secure_region_frontier
 from .simulate import SimConfig, azuma_check, run_protocol
 
@@ -109,20 +113,18 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def _distances(L_min: float, L_max: float, L_step: float) -> list[float]:
-    """L_min, L_min + L_step, ... up to L_max; at most _MAX_ROWS of them,
-    also when L_step is below the float spacing at L and L stops growing."""
+    """L_min + k L_step for every whole k up to L_max, with 1e-9 of a step
+    to spare, rounded to 9 decimals but never past L_max; at most
+    _MAX_ROWS of them, and none where L_step is below the float spacing."""
     if not (0.0 <= L_min <= L_max < math.inf and 0.0 < L_step < math.inf):
         raise DomainError("invalid distance range")
-    if (L_max - L_min) / L_step >= _MAX_ROWS:
+    steps = (L_max - L_min) / L_step + 1e-9
+    if steps >= _MAX_ROWS:
         raise DomainError(f"distance range exceeds {_MAX_ROWS} rows")
-    distances = []
-    L = L_min
-    while L <= L_max + 1e-9:
-        if len(distances) == _MAX_ROWS:
-            raise DomainError(f"distance range exceeds {_MAX_ROWS} rows")
-        distances.append(round(L, 9))
-        L += L_step
-    return distances
+    if math.ulp(L_max) > L_step:
+        raise DomainError("--L-step is below the float spacing at --L-max")
+    rows = range(int(steps) + 1)
+    return [min(round(L_min + k * L_step, 9), L_max) for k in rows]
 
 
 def cmd_decoy(args: argparse.Namespace) -> int:
@@ -137,6 +139,24 @@ def cmd_decoy(args: argparse.Namespace) -> int:
 
     rows = [row(L_km) for L_km in distances]
     _emit("L_km,mu,Q_mu,E_mu,Q1,e1,e_p,R\n" + "\n".join(rows) + "\n", args)
+    return 0
+
+
+def cmd_claims(args: argparse.Namespace) -> int:
+    params = load_channel_params(args.params) if args.params else GYS
+    record = {
+        "tolerable_eb_alpha0": keyrate.tolerable_eb(0.0, "exact"),
+        "tolerable_eb_diagonal": {
+            m: keyrate.tolerable_eb_equal(m) for m in keyrate.METHODS
+        },
+        "bb84_tolerable_eb": keyrate.bb84_tolerable_eb(),
+        "max_secure_distance_km": {
+            p: decoy.max_secure_distance(params, p) for p in decoy.PROTOCOLS
+        },
+        "eb_tolerance": keyrate._ROOT_TOL,
+        "distance_tolerance_km": decoy._DISTANCE_RESOLUTION_KM,
+    }
+    _emit(json.dumps(record, indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
@@ -186,6 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decoy)
 
+    p = sub.add_parser("claims", help="headline thresholds and secure distances")
+    p.add_argument("--params", default=None, help="key=value channel parameter file")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_claims)
+
     p = sub.add_parser("simulate", help="Monte Carlo protocol run (JSON stats)")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--delta", type=float, default=0.1)
@@ -208,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except DomainError as exc:
         print(f"qkd3: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except NoSecureDistanceError as exc:
+        print(f"qkd3: no secure distance: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (SamplingError, InsufficientSiftError) as exc:
         print(f"qkd3: simulation error: {exc}", file=sys.stderr)

@@ -213,6 +213,12 @@ class TestDecoy:
         assert _distances(0.0, 150.0, 5.0) == [5.0 * k for k in range(31)]
         assert len(_distances(0.0, 999_999.0, 1.0)) == 1_000_000
 
+    def test_distance_rows_stop_at_L_max(self):
+        # an absolute slack of 1e-9 km let steps below it add rows past
+        # L_max: 1000 rows here, then 11, where one is asked for
+        assert _distances(0.0, 0.0, 1e-12) == [0.0]
+        assert _distances(10.0, 10.0, 1e-10) == [10.0]
+
     @pytest.mark.parametrize("flag, value", [("--L-step", "1e-300"), ("--L-max", "inf")])
     def test_unbounded_distance_range_exit_code(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "decoy", flag, value)
@@ -232,6 +238,67 @@ class TestDecoy:
         row = [float(v) for v in out.strip().split("\n")[1].split(",")]
         assert row[5] > 0.5
         assert (row[1], row[6], row[7]) == (0.0025, 0.5, 0.0)
+
+
+class TestClaims:
+    def test_headline_values(self, capsys):
+        from qkd3 import GYS, bb84_tolerable_eb, decoy, keyrate, max_secure_distance
+        from qkd3 import tolerable_eb, tolerable_eb_equal
+
+        code, out, err = run_cli(capsys, "claims")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert rec == {
+            "tolerable_eb_alpha0": tolerable_eb(0.0, "exact"),
+            "tolerable_eb_diagonal": {
+                m: tolerable_eb_equal(m) for m in ("exact", "approximate", "simple")
+            },
+            "bb84_tolerable_eb": bb84_tolerable_eb(),
+            "max_secure_distance_km": {
+                p: max_secure_distance(GYS, p) for p in ("three-state", "bb84")
+            },
+            "eb_tolerance": keyrate._ROOT_TOL,
+            "distance_tolerance_km": decoy._DISTANCE_RESOLUTION_KM,
+        }
+        # the README's headline numbers, at the rounding it prints
+        assert f"{rec['tolerable_eb_alpha0']:.4f}" == "0.0757"
+        assert [f"{rec['tolerable_eb_diagonal'][m]:.4f}" for m in
+                ("simple", "approximate", "exact")] == ["0.0425", "0.0436", "0.0443"]
+        assert f"{rec['bb84_tolerable_eb']:.4f}" == "0.1100"
+        km = rec["max_secure_distance_km"]
+        assert (f"{km['three-state']:.2f}", f"{km['bb84']:.2f}") == ("88.50", "142.21")
+
+    def test_alpha0_equal_for_every_method(self):
+        # every bound is 2 e_b at alpha = 0, so the method does not matter
+        from qkd3 import tolerable_eb
+
+        values = {tolerable_eb(0.0, m) for m in ("exact", "approximate", "simple")}
+        assert len(values) == 1
+
+    def test_manifest_checksum(self, capsys, tmp_path):
+        out = tmp_path / "claims.json"
+        assert main(["claims", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "claims.json.manifest.json").read_text())
+        assert manifest["subcommand"] == "claims"
+        assert manifest["params"] == {"params": None, "subcommand": "claims"}
+        assert manifest["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert out.read_text() == run_cli(capsys, "claims")[1]
+
+    def test_blind_receiver_exit_code(self, capsys, tmp_path):
+        f = tmp_path / "blind.params"
+        f.write_text("eta_bob = 0\n")
+        code, out, err = run_cli(capsys, "claims", "--params", str(f))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qkd3: no secure distance:")
+        assert err.count("\n") == 1
+
+    def test_bad_params_file(self, capsys, tmp_path):
+        f = tmp_path / "bad.params"
+        f.write_text("nonsense = 1\n")
+        code, out, err = run_cli(capsys, "claims", "--params", str(f))
+        assert (code, out) == (2, "")
+        assert "nonsense" in err
 
 
 UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -282,6 +349,21 @@ def test_decoy_exits_cleanly_on_any_params_file(params, protocol, L_min, L_step,
     assert code in (0, 2, 3)
     if code == 0:
         assert 2 <= len(out.splitlines()) <= 21
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.fixed_dictionaries({}, optional=CHANNEL_FIELDS))
+def test_claims_exits_cleanly_on_any_params_file(params):
+    """Every channel in the valid ranges ends in exit 0, 2 or 3 (no secure
+    distance included) with at most one `qkd3:` line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "channel.params"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in params.items()))
+        code, out = run_cleanly(["claims", "--params", str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        km = json.loads(out)["max_secure_distance_km"]
+        assert all(0.0 <= v < 20_000.0 for v in km.values())
 
 
 # any float argparse accepts, with the domain's edges; passed as --opt=VALUE
@@ -459,6 +541,8 @@ class TestOutputPinned:
             "48050c5c19ff2dbc90698382a0bdf23446c5dc2a1fa198148bc0a6c2565b28e9",
         ("bound", "--eb", "2.2312818145724366e-308", "--alpha", "0.5"):
             "18c112faf7b8a959fe464178a9cc0c9936a840bff5a67fbc1c56737f51331a24",
+        ("claims",):
+            "acc78d0f98e38176a5f80a25bf9804b3216a67fdde3e701ee7255879eb54bf1d",
         ("simulate", "--N", "100000", "--seed", "7", "--attack",
          "0.9486832980505138,0,0,0,0,0,0,0.31622776601683794"):
             "d74c65556567155fdfeb6683bf010198e4ee38da5750fe5a5d207e6f272920f6",

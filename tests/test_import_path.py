@@ -1,7 +1,7 @@
 """numpy loads only where random numbers are drawn.
 
 Run in a fresh interpreter, as a shell runs the CLI: `import qkd3`, the
-`bound`, `fig1`, `region` and `decoy` subcommands and the capped
+`bound`, `fig1`, `region`, `decoy` and `claims` subcommands and the capped
 `exact_bound` must not import numpy; `random_attack` and `run_protocol`
 import it for their draws.
 """
@@ -26,6 +26,7 @@ for argv in (
     ["fig1"],
     ["region", "--method", "exact"],
     ["decoy"],
+    ["claims"],
 ):
     assert qkd3.cli.main([*argv, "--out", str(out / argv[0])]) == 0, argv
 qkd3.exact_bound(0.3, 0.3)  # the capped |a_Y| grid
