@@ -56,4 +56,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

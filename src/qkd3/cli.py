@@ -114,8 +114,9 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def _distances(L_min: float, L_max: float, L_step: float) -> list[float]:
     """L_min + k L_step for every whole k up to L_max, with 1e-9 of a step
-    to spare, rounded to 9 decimals but never past L_max; at most
-    _MAX_ROWS of them, and none where L_step is below the float spacing."""
+    to spare, rounded to 9 decimals (1e-9 km) but kept in [L_min, L_max];
+    at most _MAX_ROWS of them, and none where L_step is below the float
+    spacing, or below the rounding on a range wider than one row."""
     if not (0.0 <= L_min <= L_max < math.inf and 0.0 < L_step < math.inf):
         raise DomainError("invalid distance range")
     steps = (L_max - L_min) / L_step + 1e-9
@@ -123,8 +124,10 @@ def _distances(L_min: float, L_max: float, L_step: float) -> list[float]:
         raise DomainError(f"distance range exceeds {_MAX_ROWS} rows")
     if math.ulp(L_max) > L_step:
         raise DomainError("--L-step is below the float spacing at --L-max")
+    if L_max > L_min and L_step < 1e-9:
+        raise DomainError("--L-step is below the 1e-9 km rounding of a row")
     rows = range(int(steps) + 1)
-    return [min(round(L_min + k * L_step, 9), L_max) for k in rows]
+    return [min(max(round(L_min + k * L_step, 9), L_min), L_max) for k in rows]
 
 
 def cmd_decoy(args: argparse.Namespace) -> int:

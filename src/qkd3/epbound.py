@@ -31,25 +31,42 @@ The maximizer is a root of h'.  With R = sqrt(eb_hat - s^2),
 
     h'(v) = 2 |a_Z| cos(v) (cos(gamma) - sin(gamma) s / R) + sin 2(v - gamma),
 
-h'(gamma) > 0 (as eb_hat >= 1 >= tan(gamma)^2, unless e_b = alpha = 1/2)
-and h'(gamma + pi/2) = -|a_Z| sin(2 gamma) (1 - sin(gamma) / R) < 0 (as
-R > sin(gamma) there, unless e_b = 1/2).  So for e_b < 1/2 the maximum
-is interior, and `exact_ep` finds it as the sign change of h' by a
-bracketed Illinois search (`_illinois_root`) to 1e-12 in v, about 9
-evaluations of h' a point.  At e_b = 1/2 (eb_hat = 1) the maximum is h =
-2 at v = gamma + pi/2 in closed form, with no search.  Where rounding of
-the end values leaves no bracket (e_b just below 1/2) it takes the
-better endpoint, and it always compares the root with both endpoints.
-The search runs on R h'/2, which has the sign and roots of h' but no
-division: R vanishes only at e_b = 1/2, where s rounds to 1 near v =
-pi/2 and h has a kink.  That h' changes sign at most once on the
-interval, so that the root is the global maximum, is not proved here:
-tests/test_epbound.py establishes it as a Hypothesis property against a
-4001-point grid in v over [1e-15, 1/2]^2 and its edges, with one case
-for each branch.  `exact_bound` also returns the attack attaining the
-maximum.  `approx_bound` is the closed form obtained from an analytic
-upper bound on |a_Z|, and `simple_bound` its small-rate simplification
-alpha + 2*e_b + 2*sqrt(e_b*alpha).
+and h'(gamma + pi/2) = -|a_Z| sin(2 gamma) (1 - sin(gamma) / R) < 0 (as R
+> sin(gamma) there, unless e_b = 1/2).  The maximum lies on [pi/2, gamma
++ pi/2], and h' changes sign there at most once, so the root there is the
+global maximum.  Proof: in sigma = s^2 (cos(v) = -+sqrt(1 - sigma)),
+
+    h = sin^2(gamma) (eb_hat + 1) + 2 sigma cos(2 gamma)
+        + sin(2 gamma) [sqrt(sigma (eb_hat - sigma)) +- sqrt(sigma (1 - sigma))],
+
+with + on [pi/2, gamma + pi/2] and - on [gamma, pi/2].
+  - Left branch: h(v) - h(pi/2) = -2 (1 - sigma) cos(2 gamma) + sin(2 gamma)
+    [a - b - sqrt(sigma (1 - sigma))] <= 0, with a = sqrt(sigma (eb_hat -
+    sigma)) and b = sqrt(eb_hat - 1).  For alpha <= 1/2, gamma <= pi/4, so
+    cos(2 gamma) >= 0; and a - b <= sqrt(a^2 - b^2) where a >= b, with a^2
+    - b^2 = (1 - sigma)(1 + sigma - eb_hat) <= sigma (1 - sigma) as eb_hat
+    >= 1.
+  - Right branch: each square root is of a concave quadratic in sigma, so
+    h is concave in sigma, and sigma falls monotonically in v; h is
+    unimodal there.  At its lower end R h'/2 = sin(gamma) cos(gamma)
+    sqrt(eb_hat - 1) > 0 for e_b < 1/2.
+So for e_b < 1/2 the maximum is the one sign change of h' on [pi/2, gamma
++ pi/2], and `exact_ep` finds it by a bracketed Illinois search
+(`_illinois_root`) to 1e-12 in v, about 3.4 evaluations of h' a point;
+where rounding leaves h'(gamma + pi/2) >= 0 (e_b just below 1/2) the
+maximum is gamma + pi/2 itself.  As v >= pi/2, every uncapped witness has
+|a_X| = cos(v - gamma) <= sin(gamma), that is |a_X|^2 <= alpha at unit
+weight.  At e_b = 1/2 (eb_hat = 1) the maximum is h = 2 at v = gamma +
+pi/2 in closed form, with no search.  The search runs on R h'/2, which
+has the sign and roots of h' but no division: R vanishes only at e_b =
+1/2, where s rounds to 1 near v = pi/2 and h has a kink.
+tests/test_epbound.py tests each step of the proof as a Hypothesis
+property over [1e-15, 1/2]^2 and its edges, and the conclusion against a
+4001-point grid in v over all of [gamma, gamma + pi/2].  `exact_bound`
+also returns the attack attaining the maximum.  `approx_bound` is the
+closed form obtained from an analytic upper bound on |a_Z|, and
+`simple_bound` its small-rate simplification alpha + 2*e_b +
+2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
 gives away everything, so larger values are never needed.  A capped
@@ -192,18 +209,17 @@ class _Angles:
         return az * c * (self.cos_g * root - self.sin_g * s) + ay * ax * root
 
     def maximize(self) -> tuple[float, float]:
-        """(v, h(v)) at the maximum of h on [gamma, gamma + pi/2]."""
-        lo, hi = self.gamma, self.gamma + 0.5 * math.pi
+        """(v, h(v)) at the maximum of h on [gamma, gamma + pi/2], which lies
+        on [pi/2, gamma + pi/2] (see the module docstring)."""
+        lo, hi = 0.5 * math.pi, self.gamma + 0.5 * math.pi
         if self.eb_hat == 1.0:  # e_b = 1/2: |a_Z| = |a_Y| = 1 at hi, e_p = 1
             return hi, 2.0
-        h_lo, h_hi = self.h(lo), self.h(hi)
-        best = (hi, h_hi) if h_hi > h_lo else (lo, h_lo)
-        f_lo, f_hi = self.slope(lo), self.slope(hi)
-        if f_lo <= 0.0 or f_hi >= 0.0:
-            return best
+        f_hi = self.slope(hi)
+        if f_hi >= 0.0:
+            return hi, self.h(hi)
+        f_lo = self.sin_g * self.cos_g * math.sqrt(self.eb_hat - 1.0)  # slope(lo)
         v = _illinois_root(self.slope, lo, f_lo, hi, f_hi, _V_TOL)
-        h_v = self.h(v)
-        return (v, h_v) if h_v > best[1] else best
+        return v, self.h(v)
 
     def witness(self, v: float) -> KrausCoefficients:
         """The aligned attack at v, which attains e_p = e_b * h(v).

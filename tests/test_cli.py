@@ -219,6 +219,14 @@ class TestDecoy:
         assert _distances(0.0, 0.0, 1e-12) == [0.0]
         assert _distances(10.0, 10.0, 1e-10) == [10.0]
 
+    def test_distance_rows_within_range(self):
+        # rounding to 9 decimals took 4e-10 to 0.0, below L_min, and made
+        # eleven rows of 0.0 from steps below the rounding
+        assert _distances(4e-10, 4e-10, 1.0) == [4e-10]
+        assert _distances(4e-10, 1.0, 0.5) == [4e-10, 0.5, 1.0]
+        with pytest.raises(DomainError, match="rounding"):
+            _distances(0.0, 1e-11, 1e-12)
+
     @pytest.mark.parametrize("flag, value", [("--L-step", "1e-300"), ("--L-max", "inf")])
     def test_unbounded_distance_range_exit_code(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "decoy", flag, value)
@@ -536,11 +544,12 @@ class TestOutputPinned:
         ("bound", "--eb", "0.5", "--alpha", "0.5"):
             "2c53af802e9a1f43ee365d301a89903ec47711e41bb686de8c15d728197c6cd1",
         # alpha = 1/2 where the uncapped value rounds just above the cap
-        # and the maximizer's witness serves (0.9.0)
+        # and the maximizer's witness serves (0.9.0; re-recorded at 0.14.0,
+        # where the maximizer searches only [pi/2, gamma + pi/2])
         ("bound", "--eb", "3.1571837583107767e-34", "--alpha", "0.5"):
-            "48050c5c19ff2dbc90698382a0bdf23446c5dc2a1fa198148bc0a6c2565b28e9",
+            "0ada4d26bd226fd5bb31cf38a70a99db0ed9bc31fa9c048d14efa5299537a927",
         ("bound", "--eb", "2.2312818145724366e-308", "--alpha", "0.5"):
-            "18c112faf7b8a959fe464178a9cc0c9936a840bff5a67fbc1c56737f51331a24",
+            "d4084932bd5fe047b2bdb83b792e784b95ebd8c35079e80eeffebdab5b6266d5",
         ("claims",):
             "acc78d0f98e38176a5f80a25bf9804b3216a67fdde3e701ee7255879eb54bf1d",
         ("simulate", "--N", "100000", "--seed", "7", "--attack",

@@ -20,6 +20,7 @@ from qkd3.epbound import _Angles, _illinois_root
 
 rate = st.floats(min_value=1e-4, max_value=0.5, allow_nan=False)
 LOG_HALF = math.log10(0.5)
+EPS = 2.0**-52
 QKD3_ERRORS = tuple(
     v
     for v in vars(qkd3.errors).values()
@@ -378,12 +379,19 @@ def grid_h_max(e_b: float, alpha: float, n: int = 4001) -> float:
 
 
 class TestMaximizer:
-    """The root search on h' finds the global maximum of h: h' changes sign
-    at most once on [gamma, gamma + pi/2], which the property below tests
-    against a dense grid in v, with one case per branch of `maximize`."""
+    """The root search on h' finds the global maximum of h.  The `epbound`
+    docstring proves that the maximum lies on [pi/2, gamma + pi/2] and is
+    the one sign change of h' there; the properties below test each step
+    of that proof, and the grid property tests its conclusion against a
+    dense grid in v over all of [gamma, gamma + pi/2], with one case per
+    branch of `maximize`."""
 
     log_rate = st.floats(min_value=-15.0, max_value=LOG_HALF).map(lambda x: 10.0**x)
     edge_rate = st.sampled_from([0.5, 0.25, 1e-15])
+    proof_rate = st.one_of(
+        log_rate, st.sampled_from([0.5, math.nextafter(0.5, 0.0), 0.25, 1e-15])
+    )
+    unit = st.floats(min_value=0.0, max_value=1.0)
 
     @staticmethod
     def angles(e_b, alpha):
@@ -395,6 +403,48 @@ class TestMaximizer:
     def test_at_least_grid_max(self, e_b, alpha):
         grid = grid_h_max(e_b, alpha)
         assert exact_ep(e_b, alpha, capped=False) >= grid * (1.0 - 1e-12)
+
+    @given(proof_rate, proof_rate, unit)
+    @settings(max_examples=400, deadline=None)
+    def test_left_branch_below_its_end(self, e_b, alpha, t):
+        # h(v) <= h(pi/2) on [gamma, pi/2], so the search may start at pi/2;
+        # e_b = 1/2 takes the closed form, and at alpha = 1/2 too h is flat
+        # on this branch, where rounding alone decides
+        assume(e_b < 0.5)
+        a, lo, _ = self.angles(e_b, alpha)
+        mid = 0.5 * math.pi
+        h_mid = a.h(mid)
+        assert a.h(lo + t * (mid - lo)) <= h_mid * (1.0 + 1e-14)
+        assert h_mid <= a.maximize()[1] * (1.0 + 1e-14)
+
+    @given(proof_rate, proof_rate, unit, unit)
+    @settings(max_examples=400, deadline=None)
+    def test_right_branch_concave_in_sigma(self, e_b, alpha, t1, t2):
+        # h on [pi/2, gamma + pi/2] is concave in sigma = sin(v)^2, so it has
+        # one maximum there.  The midpoint is taken in 1 - sigma = cos(v)^2,
+        # which resolves v near pi/2.  h carries a rounding error of a few
+        # ulps plus about eps sin(2 gamma) / 2R, R = sqrt(eb_hat - sin(v)^2),
+        # which cancels near v = pi/2 when e_b is near 1/2
+        a = _Angles(e_b, alpha)
+        mid = 0.5 * math.pi
+        v1, v2 = mid + t1 * a.gamma, mid + t2 * a.gamma
+        u = 0.5 * (math.cos(v1) ** 2 + math.cos(v2) ** 2)
+        vs = (v1, v2, mid + math.asin(math.sqrt(u)))
+        h1, h2, h_mid = (a.h(v) for v in vs)
+        r = min(math.sqrt(a.eb_hat - math.sin(v) ** 2) for v in vs)
+        cancel = a.sin_g * a.cos_g / r if r > 0.0 else math.inf
+        tol = 4.0 * EPS * (max(h1, h2) + cancel)
+        assert h_mid >= 0.5 * (h1 + h2) - tol
+
+    @given(proof_rate, proof_rate)
+    @settings(max_examples=400, deadline=None)
+    def test_uncapped_witness_within_alpha(self, e_b, alpha):
+        # the maximizer v >= pi/2 gives |a_X| = cos(v - gamma) <= sin(gamma),
+        # and sin(gamma)^2 = alpha at unit weight |a_X|^2 + |a_Y|^2
+        res = exact_bound(e_b, alpha)
+        assume(res.ep_uncapped <= 0.5)
+        x2, y2 = abs(res.witness.a_X) ** 2, abs(res.witness.a_Y) ** 2
+        assert x2 <= alpha * (x2 + y2) * (1.0 + 1e-12)
 
     def test_interior_root(self):
         a, lo, hi = self.angles(0.05, 0.05)
@@ -453,13 +503,14 @@ class TestMaximizer:
         return count
 
     def test_slope_evaluations_per_point(self, monkeypatch):
-        # about 9 a point on average; the golden section took about 63 of h
+        # about 3.4 a point on average on [pi/2, gamma + pi/2] (6.1 on all
+        # of [gamma, gamma + pi/2]); the golden section took about 63 of h
         count = self.count_slopes(monkeypatch)
         axis = np.logspace(-15, LOG_HALF, 25).tolist()
         for e_b in axis:
             for alpha in axis:
                 _Angles(e_b, alpha).maximize()
-        assert count[0] / len(axis) ** 2 <= 12.0
+        assert count[0] / len(axis) ** 2 <= 4.5
 
     def test_no_slope_evaluation_at_half(self, monkeypatch):
         count = self.count_slopes(monkeypatch)
@@ -516,7 +567,9 @@ class TestWitness:
     # ay_star, method, witness), recorded from the root search on h'
     # (0.4.0); the two aligned-crossing witnesses from its Illinois search
     # (0.5.0); the |a_Y|-grid witnesses (0.3, 0.3) and (1e-15, 0.5) from the
-    # half-angle `_element` (0.12.0)
+    # half-angle `_element` (0.12.0); the uncapped value of (0.3, 0.3) and
+    # the crossing witness of (0.2407, 6.9e-4) from the search on
+    # [pi/2, gamma + pi/2] (0.14.0)
     PINNED = {
         (0.05, 0.05): (
             "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
@@ -526,8 +579,8 @@ class TestWitness:
             "0.9895351284097286,0.0,0.0,1.9203607172465877",
         ),
         (0.3, 0.3): (
-            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
-            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce7p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce6p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce6p-1",
             "0x1.8f5c28f5c28f6p-4", "exact",
             "0.8222316002930462,0.010397699082154821,0.9952355248884557,0.0,"
             "0.0975,0.0,0.027209502216650156,1.2870198365432404",
@@ -536,7 +589,7 @@ class TestWitness:
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
             "0x1.ffd83d90137a3p-1", "exact",
-            "1.441064892912931,0.0,0.02462905028698008,0.0,"
+            "1.441064892912931,0.0,0.024629050286980526,0.0,"
             "0.9996966589330792,0.0,0.0,1.038210578747026",
         ),
         (0.3, 1e-8): (
