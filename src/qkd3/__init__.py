@@ -56,4 +56,4 @@ from .simulate import (
     run_protocol,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

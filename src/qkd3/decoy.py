@@ -30,7 +30,6 @@ digits of a tiny eta mu.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +42,6 @@ PROTOCOLS = ("three-state", "bb84")
 _MU_MIN = 0.0025  # lower end of the mu domain
 _MU_RTOL = 1e-6  # root tolerance relative to the bracket's lower end
 _DISTANCE_RESOLUTION_KM = 0.01
-_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ class DecoyObservables:
 def load_channel_params(path: str | Path) -> ChannelParams:
     """Read ChannelParams from a flat key=value text file.
 
-    Unknown keys are rejected; missing keys keep their defaults.  Blank
-    lines and lines starting with '#' are ignored.
+    Unknown or repeated keys and non-numbers are rejected with their line;
+    missing keys keep their defaults.  Blank and '#' lines are ignored.
     """
     values = {}
     fields = ChannelParams.__dataclass_fields__
@@ -107,7 +105,14 @@ def load_channel_params(path: str | Path) -> ChannelParams:
         key = key.strip()
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
-        values[key] = float(val.strip())
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: parameter {key!r} given twice")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} = {val.strip()!r} is not a number"
+            ) from None
     return ChannelParams(**values)
 
 
@@ -132,10 +137,6 @@ def _model(
     """(Q_mu, E_mu, Q1, e1) at transmittance eta; 0/0 (no clicks) reads 0."""
     y1 = params.y0 + eta
     e1 = (params.e0 * params.y0 + params.e_det * eta) / y1 if y1 else 0.0
-    if e1 < _MIN_NORMAL:
-        # a subnormal e1 has no finite odds ratio for the exact bound; at 0
-        # the rate has the same bits, as 1 - H2(e_p) rounds to 1 either way
-        e1 = 0.0
     return (*_signal(params, eta, mu), y1 * mu * math.exp(-mu), e1)
 
 

@@ -1,94 +1,95 @@
 """Upper bounds on the phase error rate from observed (e_b, alpha).
 
 The worst-case attack consistent with observed bit error rate e_b and
-check-state error rate alpha maximizes e_p = (|a_Z|^2 + |a_Y|^2) * e_b
-subject to
+check-state error rate alpha maximizes e_p = |a_Z|^2 + |a_Y|^2 subject to
 
-    |a_X|^2 + |a_Y|^2 = 1                      (scaling)
-    eb_hat    := (1-e_b)/e_b  = |a_I|^2 + |a_Z|^2
-    alpha_hat := (1-alpha)/alpha
-              = (|a_I| + |a_X|)^2 / (|a_Y| - |a_Z|)^2   (aligned phases)
+    |a_I|^2 + |a_X|^2 + |a_Y|^2 + |a_Z|^2 = 1        (unit weight)
+    |a_X|^2 + |a_Y|^2 = e_b
+    alpha (|a_I| + |a_X|)^2 = (1 - alpha) (|a_Y| - |a_Z|)^2   (aligned phases)
 
 after aligning a_I with a_X and a_Z with i*a_Y, which only increases the
 objective.
 
-Angle form.  Write |a_Y| = sin(theta), |a_X| = cos(theta), |a_Z| =
-r sin(phi), a_I = r cos(phi) with r = sqrt(eb_hat), and tan(gamma) =
-1/sqrt(alpha_hat).  The alpha constraint becomes r sin(phi - gamma) =
-sin(theta + gamma), so with v = theta + gamma in [gamma, gamma + pi/2]
-and s = sin(v) the attack is, in closed form,
+Angle form.  Write p = sqrt(e_b), sin(gamma) = sqrt(alpha) and
+cos(gamma) = sqrt(1 - alpha), |a_Y| = p sin(theta) and |a_X| = p
+cos(theta).  With v = theta + gamma in [gamma, gamma + pi/2], s = sin(v),
+c = cos(v) and rho = sqrt(1 - 2 e_b + e_b c^2) the attack is, in closed
+form,
 
-    |a_Y| = sin(v - gamma),    |a_X| = cos(v - gamma),
-    |a_Z| = s cos(gamma) + sin(gamma) sqrt(eb_hat - s^2),
-    a_I   = sqrt(eb_hat - s^2) cos(gamma) - s sin(gamma),
+    |a_Y| = p (s cos(gamma) - c sin(gamma)),
+    |a_X| = p (c cos(gamma) + s sin(gamma)),
+    |a_Z| = p s cos(gamma) + sin(gamma) rho,
+    a_I   = rho cos(gamma) - p s sin(gamma),
 
-and the bound is e_p = e_b * max_v h(v) with h(v) = |a_Z|^2 + |a_Y|^2.
-Every v is feasible (s <= 1 <= eb_hat).  A negative a_I is the case
-where a_I opposes a_X: the constraint then holds with |a_I + a_X| =
-||a_X| - |a_I||.
+and the bound is e_p = max_v e_p(v) with
 
-The maximizer is a root of h'.  With R = sqrt(eb_hat - s^2),
+    e_p(v) = (p s cos(gamma) + sin(gamma) rho)^2
+             + e_b (s cos(gamma) - c sin(gamma))^2.
 
-    h'(v) = 2 |a_Z| cos(v) (cos(gamma) - sin(gamma) s / R) + sin 2(v - gamma),
+Every v is feasible: a_I^2 + |a_Z|^2 = rho^2 + e_b s^2 = 1 - e_b, and
+both sides of the alpha constraint are (sin(gamma) cos(gamma) (rho + p
+c))^2; a negative a_I opposes a_X.  No term overflows or cancels at any
+rate in [0, 1/2]: rho^2 >= 1 - 2 e_b, and p and sin(gamma) are normal
+doubles even for a subnormal rate.
 
-and h'(gamma + pi/2) = -|a_Z| sin(2 gamma) (1 - sin(gamma) / R) < 0 (as R
-> sin(gamma) there, unless e_b = 1/2).  The maximum lies on [pi/2, gamma
-+ pi/2], and h' changes sign there at most once, so the root there is the
-global maximum.  Proof: in sigma = s^2 (cos(v) = -+sqrt(1 - sigma)),
+The maximizer is a root of e_p'.  With a_X and a_Y read at p = 1,
 
-    h = sin^2(gamma) (eb_hat + 1) + 2 sigma cos(2 gamma)
-        + sin(2 gamma) [sqrt(sigma (eb_hat - sigma)) +- sqrt(sigma (1 - sigma))],
+    rho e_p'(v) / (2 p) = |a_Z| c a_I + p |a_Y| |a_X| rho,
+
+and at v = gamma + pi/2 (|a_X| = 0, c = -sin(gamma)) it is -|a_Z|
+sin(gamma) a_I < 0, as a_I = cos(gamma) (rho - p sin(gamma)) > 0 there
+unless e_b = 1/2.  The maximum lies on [pi/2, gamma + pi/2], and e_p'
+changes sign there at most once, so the root there is the global
+maximum.  Proof: in sigma = s^2 (c = -+sqrt(1 - sigma)),
+
+    e_p = alpha + 2 e_b sigma cos(2 gamma)
+          + sin(2 gamma) [p sqrt(sigma (1 - e_b - e_b sigma))
+                          +- e_b sqrt(sigma (1 - sigma))],
 
 with + on [pi/2, gamma + pi/2] and - on [gamma, pi/2].
-  - Left branch: h(v) - h(pi/2) = -2 (1 - sigma) cos(2 gamma) + sin(2 gamma)
-    [a - b - sqrt(sigma (1 - sigma))] <= 0, with a = sqrt(sigma (eb_hat -
-    sigma)) and b = sqrt(eb_hat - 1).  For alpha <= 1/2, gamma <= pi/4, so
-    cos(2 gamma) >= 0; and a - b <= sqrt(a^2 - b^2) where a >= b, with a^2
-    - b^2 = (1 - sigma)(1 + sigma - eb_hat) <= sigma (1 - sigma) as eb_hat
-    >= 1.
+  - Left branch: e_p(v) - e_p(pi/2) = -2 e_b (1 - sigma) cos(2 gamma) +
+    sin(2 gamma) [a - b - e_b sqrt(sigma (1 - sigma))] <= 0, with a = p
+    sqrt(sigma (1 - e_b - e_b sigma)) and b = p sqrt(1 - 2 e_b).  For
+    alpha <= 1/2, gamma <= pi/4, so cos(2 gamma) >= 0; and a - b <=
+    sqrt(a^2 - b^2) where a >= b, with a^2 - b^2 = e_b (1 - sigma)
+    (e_b (sigma + 2) - 1) <= e_b^2 sigma (1 - sigma) as 2 e_b <= 1.
   - Right branch: each square root is of a concave quadratic in sigma, so
-    h is concave in sigma, and sigma falls monotonically in v; h is
-    unimodal there.  At its lower end R h'/2 = sin(gamma) cos(gamma)
-    sqrt(eb_hat - 1) > 0 for e_b < 1/2.
-So for e_b < 1/2 the maximum is the one sign change of h' on [pi/2, gamma
-+ pi/2], and `exact_ep` finds it by a bracketed Illinois search
-(`_illinois_root`) to 1e-12 in v, about 3.4 evaluations of h' a point;
-where rounding leaves h'(gamma + pi/2) >= 0 (e_b just below 1/2) the
-maximum is gamma + pi/2 itself.  As v >= pi/2, every uncapped witness has
-|a_X| = cos(v - gamma) <= sin(gamma), that is |a_X|^2 <= alpha at unit
-weight.  At e_b = 1/2 (eb_hat = 1) the maximum is h = 2 at v = gamma +
-pi/2 in closed form, with no search.  The search runs on R h'/2, which
-has the sign and roots of h' but no division: R vanishes only at e_b =
-1/2, where s rounds to 1 near v = pi/2 and h has a kink.
+    e_p is concave in sigma, and sigma falls monotonically in v; e_p is
+    unimodal there.  At its lower end rho e_p'/(2 p) = p sin(gamma)
+    cos(gamma) sqrt(1 - 2 e_b) > 0 for e_b < 1/2.
+So for e_b < 1/2 the maximum is the one sign change of e_p' on [pi/2,
+gamma + pi/2], found by a bracketed Illinois search (`_illinois_root`)
+to 1e-12 in v, about 3.5 evaluations of e_p' a point, or gamma + pi/2
+itself where rounding leaves e_p' >= 0 there (e_b just below 1/2); at
+e_b = 1/2 it is e_p = 1 at gamma + pi/2, with no search.  As v >= pi/2,
+every uncapped witness has |a_X|^2 <= alpha (|a_X|^2 + |a_Y|^2).  The
+search runs on rho e_p'/(2 p), which has no division: rho vanishes only
+at e_b = 1/2 and v = pi/2, a kink of e_p.  The code takes u = v - pi/2
+(s = cos(u), c = -sin(u), gamma = asin(sqrt(alpha))), so that the
+bracket [0, gamma] keeps its digits however small gamma is.
 tests/test_epbound.py tests each step of the proof as a Hypothesis
-property over [1e-15, 1/2]^2 and its edges, and the conclusion against a
-4001-point grid in v over all of [gamma, gamma + pi/2].  `exact_bound`
-also returns the attack attaining the maximum.  `approx_bound` is the
-closed form obtained from an analytic upper bound on |a_Z|, and
-`simple_bound` its small-rate simplification alpha + 2*e_b +
-2*sqrt(e_b*alpha).
+property, and the conclusion against a 4001-point grid in v.
+`exact_bound` also returns the attack attaining the maximum, scaled to
+|a_X|^2 + |a_Y|^2 = 1 (weight 1/e_b) and, for e_b below 2**-1021, by a
+further 2**k, k = (1020 + frexp(e_b)[1]) // 2, to a weight of at most
+2**1021.  `approx_bound` is the closed form obtained from an analytic
+upper bound on |a_Z|, and `simple_bound` its small-rate simplification
+alpha + 2*e_b + 2*sqrt(e_b*alpha).
 
 Reported bounds are capped at 1/2: a phase error rate of 1/2 already
-gives away everything, so larger values are never needed.  A capped
-`exact_bound` still returns an attack with e_p exactly 1/2, and its
-`ay_star` is that attack's |a_Y|.  `_capped_witness` runs first, on the
-odds ratios of the `_Angles` that found the maximum: it scans a
-2001-point |a_Y| grid with the two interference terms free, so it also
-covers alpha above about 0.35, where every aligned attack has e_p >
-1/2, and returns the first attack it finds.  Where the grid finds
-nothing (e_b > 1/4 with small alpha, where the feasible window narrows
-like sqrt(alpha), and now and then just above the cap), the aligned
-crossing takes over: the same Illinois search, to 1e-15 in v, for
-e_b * h(v) = 1/2 between v = gamma, if it is below the cap, and the
-maximizer.  The other endpoint is never below the cap when gamma is
-not: as sin(gamma) <= cos(gamma), |a_Z| at gamma is at most |a_Z| at
-gamma + pi/2, where |a_Y| = 1, so h(gamma + pi/2) >= h(gamma) + 1.  At
-alpha = 1/2 with e_b below about 1e-30, e_b * h exceeds 1/2 by rounding
-alone, from gamma on, so neither finds an attack; the maximizer's attack
-then serves if it reproduces (e_b, alpha, 1/2) to 1e-9, and otherwise
-`exact_bound` raises DomainError.  All
-of the package's 1-D searches (the secure-region frontier, the decoy
-secure distance and the decoy's optimal mu, a root of dR/dmu, too) use
+gives away everything.  A capped `exact_bound` still returns an attack
+with e_p exactly 1/2.  `_capped_witness` scans a 2001-point |a_Y| grid
+at unit weight with the two interference terms free, so it also covers
+alpha above about 0.35, where every aligned attack has e_p > 1/2.  Where
+it finds nothing (e_b > 1/4 with small alpha, where the feasible window
+narrows like sqrt(alpha), and now and then just above the cap), the
+same Illinois search, to 1e-15 in v, finds e_p(v) = 1/2 between v =
+gamma, if it is below the cap, and the maximizer.  The other end is
+never below the cap when gamma is not: |a_Z| at gamma is at most |a_Z|
+at gamma + pi/2, where |a_Y| = p, so e_p(gamma + pi/2) >= e_p(gamma) +
+e_b.  Where neither finds an attack, the maximizer's serves if it
+reproduces (e_b, alpha, 1/2) to 1e-9, and otherwise `exact_bound`
+raises DomainError.  All of the package's 1-D searches use
 `_illinois_root`.
 """
 
@@ -102,10 +103,6 @@ from .errors import DomainError
 
 _V_TOL = 1e-12  # root-search tolerance in v
 _CROSS_TOL = 1e-15  # root-search tolerance of the capped crossing in v
-# approx_bound and simple_bound scale the rates under their square roots by
-# 2**500 and the root back (exact), so e_b * alpha cannot underflow to 0
-_UP, _DOWN = 2.0**500, 2.0**-500
-_HALVE_WITNESS_FROM = 2.0**1021  # eb_hat from which `_Angles.witness` halves
 
 EP_CAP = 0.5
 
@@ -175,107 +172,110 @@ def _illinois_root(f, a: float, fa: float, b: float, fb: float, tol: float) -> f
 
 
 class _Angles:
-    """h(v) and the attack at v for one (e_b, alpha) in (0, 1/2]^2, in angle
-    form, from the odds ratios eb_hat = (1-e_b)/e_b and alpha_hat =
-    (1-alpha)/alpha."""
+    """e_p and the attack at u = v - pi/2 for one (e_b, alpha) in (0, 1/2]^2,
+    in the unit-weight angle form of the module docstring."""
 
     def __init__(self, e_b: float, alpha: float):
-        self.eb_hat = (1.0 - e_b) / e_b
-        self.alpha_hat = (1.0 - alpha) / alpha
-        if not (self.eb_hat < math.inf and self.alpha_hat < math.inf):
-            raise DomainError(
-                f"(e_b, alpha)=({e_b}, {alpha}): the odds ratio (1 - rate) / "
-                "rate of a subnormal rate overflows"
-            )
-        self.gamma = math.atan(1.0 / math.sqrt(self.alpha_hat))
-        self.sin_g = math.sin(self.gamma)
-        self.cos_g = math.cos(self.gamma)
+        self.e_b, self.alpha = e_b, alpha
+        self.q = 1.0 - 2.0 * e_b  # rho^2 at c = 0
+        self.p = p = math.sqrt(e_b)
+        self.sin_g, self.cos_g = math.sqrt(alpha), math.sqrt(1.0 - alpha)
+        self.p_sin_g, self.p_cos_g = p * self.sin_g, p * self.cos_g
+        self.gamma = math.asin(self.sin_g)
 
-    def h(self, v: float) -> float:
-        """|a_Z|^2 + |a_Y|^2 of the aligned attack at v."""
-        s = math.sin(v)
-        az = s * self.cos_g + self.sin_g * math.sqrt(self.eb_hat - s * s)
-        ay = s * self.cos_g - math.cos(v) * self.sin_g
-        return az * az + ay * ay
+    def ep(self, u: float) -> float:
+        """e_p = |a_Z|^2 + |a_Y|^2 of the aligned attack at u (s = cos(u),
+        c = -sin(u))."""
+        s, sn = math.cos(u), math.sin(u)
+        e_b, sin_g = self.e_b, self.sin_g
+        az = self.p_cos_g * s + sin_g * math.sqrt(self.q + e_b * sn * sn)
+        ay = s * self.cos_g + sn * sin_g
+        return az * az + e_b * ay * ay
 
-    def slope(self, v: float) -> float:
-        """R * h'(v) / 2 with R = sqrt(eb_hat - s^2), s = sin(v): the sign
-        and roots of h'(v), and no division, so finite where R = 0."""
-        s, c = math.sin(v), math.cos(v)
-        root = math.sqrt(self.eb_hat - s * s)
-        az = s * self.cos_g + self.sin_g * root
-        ay = s * self.cos_g - c * self.sin_g
-        ax = c * self.cos_g + s * self.sin_g
-        return az * c * (self.cos_g * root - self.sin_g * s) + ay * ax * root
+    def slope(self, u: float) -> float:
+        """rho e_p'(u) / (2 p) = |a_Z| c a_I + p |a_Y| |a_X| rho: the sign and
+        roots of e_p'(u), and no division, so finite where rho = 0."""
+        s, sn = math.cos(u), math.sin(u)
+        sin_g, cos_g = self.sin_g, self.cos_g
+        rho = math.sqrt(self.q + self.e_b * sn * sn)
+        az = self.p_cos_g * s + sin_g * rho
+        ay = s * cos_g + sn * sin_g
+        ax = s * sin_g - sn * cos_g
+        return self.p * ay * ax * rho - az * sn * (cos_g * rho - self.p_sin_g * s)
 
     def maximize(self) -> tuple[float, float]:
-        """(v, h(v)) at the maximum of h on [gamma, gamma + pi/2], which lies
-        on [pi/2, gamma + pi/2] (see the module docstring)."""
-        lo, hi = 0.5 * math.pi, self.gamma + 0.5 * math.pi
-        if self.eb_hat == 1.0:  # e_b = 1/2: |a_Z| = |a_Y| = 1 at hi, e_p = 1
-            return hi, 2.0
+        """(u, e_p(u)) at the maximum of e_p on [gamma - pi/2, gamma], which
+        lies on [0, gamma] (see the module docstring)."""
+        hi = self.gamma
+        if self.e_b == 0.5:  # |a_Z| = |a_Y| = sqrt(1/2) at hi, e_p = 1
+            return hi, 1.0
         f_hi = self.slope(hi)
         if f_hi >= 0.0:
-            return hi, self.h(hi)
-        f_lo = self.sin_g * self.cos_g * math.sqrt(self.eb_hat - 1.0)  # slope(lo)
-        v = _illinois_root(self.slope, lo, f_lo, hi, f_hi, _V_TOL)
-        return v, self.h(v)
+            return hi, self.ep(hi)
+        f_lo = self.p_sin_g * self.cos_g * math.sqrt(self.q)  # slope(0)
+        u = _illinois_root(self.slope, 0.0, f_lo, hi, f_hi, _V_TOL)
+        return u, self.ep(u)
 
-    def witness(self, v: float) -> KrausCoefficients:
-        """The aligned attack at v, which attains e_p = e_b * h(v).
+    def scale(self) -> tuple[float, float]:
+        """(f, f / p), f = 2**min(0, (1020 + frexp(e_b)[1]) // 2): factors from
+        |a_X|, |a_Y| at p = 1 and |a_I|, |a_Z| at unit weight to a witness."""
+        f = 2.0 ** min(0, (1020 + math.frexp(self.e_b)[1]) // 2)
+        return f, f / self.p
 
-        Its weight is eb_hat + 1; from eb_hat = 2**1021 (e_b near the
-        smallest normal double) every amplitude is halved, exactly, so
-        that 4x the weight stays finite as KrausCoefficients requires."""
-        s = math.sin(v)
-        root = math.sqrt(self.eb_hat - s * s)
-        u = 0.5 if self.eb_hat >= _HALVE_WITNESS_FROM else 1.0
+    def witness(self, u: float) -> KrausCoefficients:
+        """The aligned attack at u, which attains e_p(u)."""
+        s, sn = math.cos(u), math.sin(u)
+        sin_g, cos_g = self.sin_g, self.cos_g
+        rho = math.sqrt(self.q + self.e_b * sn * sn)
+        f, t = self.scale()
         return KrausCoefficients(
-            u * (root * self.cos_g - s * self.sin_g),
-            u * math.cos(v - self.gamma),
-            u * math.sin(v - self.gamma),
-            1j * (u * (s * self.cos_g + self.sin_g * root)),
+            (cos_g * rho - self.p_sin_g * s) * t,
+            (s * sin_g - sn * cos_g) * f,
+            (s * cos_g + sn * sin_g) * f,
+            1j * ((self.p_cos_g * s + sin_g * rho) * t),
         )
 
-    def crossing(self, e_b: float, v_star: float) -> float | None:
-        """v with e_b * h(v) = 1/2 between gamma and the maximizer v_star;
-        None when e_b * h(gamma) > 1/2.  The other endpoint never serves:
-        for alpha <= 1/2, h(gamma + pi/2) >= h(gamma) + 1."""
-        excess = lambda v: EP_CAP - e_b * self.h(v)
-        f_lo = excess(self.gamma)
+    def crossing(self, u_star: float) -> float | None:
+        """u with e_p(u) = 1/2 between gamma - pi/2 (v = gamma) and the
+        maximizer u_star; None when e_p there is above 1/2."""
+        excess = lambda u: EP_CAP - self.ep(u)
+        lo = self.gamma - 0.5 * math.pi
+        f_lo = excess(lo)
         if f_lo <= 0.0:
-            return self.gamma if f_lo == 0.0 else None
-        # excess(v_star) < 0, as e_b * h(v_star) > 1/2
-        return _illinois_root(
-            excess, self.gamma, f_lo, v_star, excess(v_star), _CROSS_TOL
-        )
+            return lo if f_lo == 0.0 else None
+        return _illinois_root(excess, lo, f_lo, u_star, excess(u_star), _CROSS_TOL)
 
 
 def _capped_witness(angles: _Angles) -> KrausCoefficients | None:
     """Attack element with e_p = 1/2 at the given (e_b, alpha), or None.
 
-    Fixing |a_Y|^2 + |a_Z|^2 = (eb_hat + 1)/2 pins e_p to 1/2; the two
-    interference terms are then free to meet the alpha constraint,
-    which they can whenever the attainable ranges of |a_I + a_X|^2 and
-    alpha_hat * |i a_Y - a_Z|^2 overlap for some |a_Y|.  The scan walks
-    |a_Y| = i * (1 / 2000), i = 0..2000, on Python floats (1.0 exactly at
-    the end; the same 2001 values as numpy's linspace(0, 1, 2001)) and at
-    the first |a_Y| where the ranges overlap returns the `_element` with
-    |a_I + a_X|^2 = w and |i a_Y - a_Z|^2 = w / alpha_hat, w mid-overlap.
+    At unit weight, fixing |a_Y|^2 + |a_Z|^2 = 1/2 pins e_p to 1/2; the
+    two interference terms are then free to meet the alpha constraint,
+    which they can whenever the attainable ranges of alpha |a_I + a_X|^2
+    and (1 - alpha) |i a_Y - a_Z|^2 overlap for some |a_Y|.  The scan
+    walks |a_Y| = p y, y = i * (1 / 2000), i = 0..2000, on Python floats
+    (1.0 exactly at the end; the same 2001 values as numpy's
+    linspace(0, 1, 2001)), with |a_X| = p sqrt(1 - y^2), |a_Z| = sqrt(1/2
+    - |a_Y|^2) and |a_I| = sqrt(1/2 - |a_X|^2), and at the first y where
+    the ranges overlap returns the `_element` with alpha |a_I + a_X|^2 =
+    (1 - alpha) |i a_Y - a_Z|^2 = w, w mid-overlap, scaled as
+    `_Angles.witness` is.
     """
-    ah, eh = angles.alpha_hat, angles.eb_hat
-    q = 0.5 * (eh + 1.0)  # |a_Y|^2 + |a_Z|^2 forcing e_p = 1/2
+    alpha, p = angles.alpha, angles.p
+    beta = 1.0 - alpha
     for i in range(2001):
         y = i * (1.0 / 2000)
-        z = math.sqrt(max(q - y * y, 0.0))
-        x = math.sqrt(max(1.0 - y * y, 0.0))
-        ii = math.sqrt(max(eh - z * z, 0.0))
-        lo_l, hi_l = (ii - x) ** 2, (ii + x) ** 2
-        lo_r, hi_r = ah * (y - z) ** 2, ah * (y + z) ** 2
-        if max(lo_l, lo_r) > min(hi_l, hi_r):
+        ay, ax = p * y, p * math.sqrt(1.0 - y * y)
+        # p * p may round above 1/2 at e_b = 1/2
+        az = math.sqrt(max(0.5 - ay * ay, 0.0))
+        ai = math.sqrt(max(0.5 - ax * ax, 0.0))
+        lo = max(alpha * (ai - ax) ** 2, beta * (ay - az) ** 2)
+        hi = min(alpha * (ai + ax) ** 2, beta * (ay + az) ** 2)
+        if lo > hi:
             continue
-        w = 0.5 * (max(lo_l, lo_r) + min(hi_l, hi_r))
-        return _element(ii, x, y, z, w, w / ah)
+        t = angles.scale()[1]
+        w = 0.5 * (lo + hi) * t * t
+        return _element(ai * t, ax * t, ay * t, az * t, w / alpha, w / beta)
     return None
 
 
@@ -289,7 +289,7 @@ def _attains(witness: KrausCoefficients, rates: tuple[float, float, float]) -> b
 
 
 def _limiting_case(e_b: float, alpha: float) -> BoundResult:
-    """Bounds on the axes, where the hatted parameters are undefined."""
+    """Bounds on the axes, in closed form."""
     if e_b == 0.0:
         # a_X = a_Y = 0 is forced, so e_p = alpha (identity attack at alpha = 0).
         w = KrausCoefficients(math.sqrt(1.0 - alpha), 0, 0, 1j * math.sqrt(alpha))
@@ -315,24 +315,22 @@ def exact_bound(e_b: float, alpha: float) -> BoundResult:
     attack with e_p exactly 1/2 (`_capped_witness`, else the aligned
     crossing) so that the witness still reproduces (e_b, alpha, ep_max).
     Callers that need only the value should use `exact_ep`, which skips
-    the witness.  DomainError outside [0, 1/2]^2 or for a subnormal rate.
+    the witness.  DomainError outside [0, 1/2]^2.
     """
     _check_domain(e_b, alpha)
     if e_b == 0.0 or alpha == 0.0:
         return _limiting_case(e_b, alpha)
 
     angles = _Angles(e_b, alpha)
-    v_star, h_max = angles.maximize()
-    val = e_b * h_max
+    u_star, val = angles.maximize()
     if val <= EP_CAP:
-        return BoundResult(val, angles.witness(v_star), "exact", val)
+        return BoundResult(val, angles.witness(u_star), "exact", val)
     witness = _capped_witness(angles)
     if witness is None:
-        v_cap = angles.crossing(e_b, v_star)
-        # None also where val exceeds 1/2 by rounding alone (alpha = 1/2,
-        # e_b below about 1e-30): the maximizer itself then serves
-        witness = angles.witness(v_star if v_cap is None else v_cap)
-        if v_cap is None and not _attains(witness, (e_b, alpha, EP_CAP)):
+        u_cap = angles.crossing(u_star)
+        # None where e_p(gamma) > 1/2 too: the maximizer itself may serve
+        witness = angles.witness(u_star if u_cap is None else u_cap)
+        if u_cap is None and not _attains(witness, (e_b, alpha, EP_CAP)):
             raise DomainError(
                 f"no attack with e_p = 1/2 found at (e_b, alpha)=({e_b}, {alpha})"
             )
@@ -349,7 +347,7 @@ def exact_ep(e_b: float, alpha: float, capped: bool = True) -> float:
     if e_b == 0.0 or alpha == 0.0:
         val = _limiting_case(e_b, alpha).ep_uncapped
     else:
-        val = e_b * _Angles(e_b, alpha).maximize()[1]
+        val = _Angles(e_b, alpha).maximize()[1]
     return min(val, EP_CAP) if capped else val
 
 
@@ -361,13 +359,13 @@ def approx_bound(e_b: float, alpha: float, capped: bool = True) -> float:
     capped at 1/2 unless ``capped=False``.
     """
     _check_domain(e_b, alpha)
-    a, e = alpha * _UP, e_b * _UP
-    root = math.sqrt(max(a * (1.0 - alpha) * e * (1.0 - e_b - e_b * alpha), 0.0))
-    val = alpha + e_b * (2.0 - 2.0 * alpha - alpha * alpha) + 2.0 * (root * _DOWN)
+    # two roots, so that no product of the rates underflows
+    root = math.sqrt(alpha * (1.0 - alpha)) * math.sqrt(e_b * (1.0 - e_b - e_b * alpha))
+    val = alpha + e_b * (2.0 - 2.0 * alpha - alpha * alpha) + 2.0 * root
     return min(val, EP_CAP) if capped else val
 
 
 def simple_bound(e_b: float, alpha: float) -> float:
     """Small-rate bound alpha + 2*e_b + 2*sqrt(e_b*alpha)."""
     _check_domain(e_b, alpha)
-    return alpha + 2.0 * e_b + 2.0 * (math.sqrt(e_b * _UP * (alpha * _UP)) * _DOWN)
+    return alpha + 2.0 * e_b + 2.0 * (math.sqrt(e_b) * math.sqrt(alpha))

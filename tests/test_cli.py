@@ -63,17 +63,20 @@ class TestBound:
         assert "domain error" in err
 
     def test_tiny_rates_exit_code(self, capsys):
-        # a subnormal rate's odds ratio overflows: a domain error with no
-        # warnings, not a traceback
-        for eb, alpha in [("0.3", "5e-324"), ("5e-324", "0.5")]:
+        # a subnormal rate gets a bound and a witness that reproduces it,
+        # with no warnings
+        for eb, alpha, ep in [("0.3", "5e-324", 0.5), ("5e-324", "0.5", 0.5)]:
             code, out, err = run_cli(capsys, "bound", "--eb", eb, "--alpha", alpha)
-            assert code == 3
-            assert out == ""
-            assert err.startswith("qkd3: domain error:")
-            assert err.count("\n") == 1
+            assert (code, err) == (0, "")
+            rec = json.loads(out)
+            assert rec["ep_exact"] == ep
+            r = rates_from_ensemble([KrausCoefficients.deserialize(rec["witness"])])
+            assert (r.e_b, r.alpha, r.e_p) == pytest.approx(
+                (float(eb), float(alpha), ep), abs=1e-9
+            )
 
     def test_smallest_normal_eb_exit_code(self, capsys):
-        # unhalved, the witness at e_b = 2**-1022 would weigh more than a
+        # unscaled, the witness at e_b = 2**-1022 would weigh more than a
         # quarter of the largest double, which KrausCoefficients rejects
         for alpha in ("0.5", "1e-300"):
             code, out, err = run_cli(
@@ -119,12 +122,14 @@ class TestFig1:
             assert ex <= ap + 1e-9 <= sb + 2e-9
 
     def test_tiny_rates_exit_code(self, capsys):
-        # the row at 5e-324 has subnormal rates
+        # the row at 5e-324 has subnormal rates, and a bound from each method
         code, out, err = run_cli(capsys, "fig1", "--eb-max", "1e-323", "--steps", "3")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("qkd3: domain error:")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [float(row[0]) for row in rows] == [0.0, 5e-324, 1e-323]
+        for row in rows[1:]:
+            eb, ex, ap, sb = (float(v) for v in row)
+            assert 0.0 < ex <= ap <= sb <= 5 * eb
 
 
 @pytest.mark.parametrize("subcommand", ["fig1", "region"])
@@ -194,6 +199,22 @@ class TestDecoy:
         )
         assert code == 2
         assert "nonsense" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("eta_bob = 0.1\neta_bob = 0.2\n", 2), ("y0 = 2e-6\n\neta_bob =\n", 3)],
+        ids=["repeated key", "empty value"],
+    )
+    def test_params_file_error_names_its_line(self, capsys, tmp_path, text, line):
+        f = tmp_path / "bad.params"
+        f.write_text(text)
+        code, out, err = run_cli(
+            capsys, "decoy", "--params", str(f),
+            "--L-min", "0", "--L-max", "10", "--L-step", "5",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qkd3: {f}:{line}: ")
+        assert "eta_bob" in err
 
     @pytest.mark.parametrize(
         "L_min, L_max, L_step",
@@ -506,9 +527,9 @@ class TestOutputPinned:
 
     PINNED = {
         ("bound", "--eb", "0.05", "--alpha", "0.05"):
-            "5106fdb29ef557e09fa44f978fa81228f83ad29d6fc7a235f2524065afa0cf71",
+            "40fb92e85ee4be5e7af21a396fd6a1f11ebd1e29446ecd4f6b5fb33f2ba88865",
         ("bound", "--eb", "0.3", "--alpha", "0.3"):
-            "04e261c7bb76d232121a97d9081ead4c5e4c4cd92cc77825b0e892b2f931680d",
+            "29110aad22bb1b6c1063f44b5731c1a563703b4e1d2f9f9ca3bb0fd517ad615e",
         ("fig1",):
             "c6ddb85c4cf55595b95a8fc7a3bfbc55af884f2ddc011bb398982ad48870c338",
         ("region", "--method", "exact"):
@@ -529,8 +550,8 @@ class TestOutputPinned:
             "bf2d17553a76bd9a82be777e152a49290bfc731174f1c5c390466ce7e5024590",
         # one per exact_bound branch: e_b = 0 (an int a_Y), alpha = 0 below
         # and above the cap, the aligned crossing, and the capped |a_Y| grid
-        # through `_element` (at e_b = 1/2 too: e_b * h = 1 is capped, and
-        # its witness has a vanishing magnitude product)
+        # through `_element` (at e_b = 1/2 too: e_p = 1 is capped, and its
+        # witness has a vanishing magnitude product)
         ("bound", "--eb", "0", "--alpha", "0.3"):
             "e30c75047eab9e455f38954ff268e4dd7c3d0dc24dd93896ffbc4b0b15c6fc52",
         ("bound", "--eb", "0.1", "--alpha", "0"):
@@ -538,20 +559,20 @@ class TestOutputPinned:
         ("bound", "--eb", "0.3", "--alpha", "0"):
             "569827f8efe5a79135c9a57e3552c23c99ca067c527db17effc1a9e12c557d10",
         ("bound", "--eb", "0.3", "--alpha", "1e-8"):
-            "edab8673388712db416b54b97d5e4372f50647e4ae9180323c204a9cd5963ad4",
+            "0ae4915e9a4855eb889b440fbec0911cbc970a6f6a199095ab47dbec1d40cd09",
         ("bound", "--eb", "0.01", "--alpha", "0.44"):
-            "69922958913f38312eb801acb7fd4f87e85d3dd39b50cb26ce87d4f65a67aba2",
+            "ed4c72a3d17f83ed1beaac3d93069cccf536db1b81af5f966c85982109de1ff9",
         ("bound", "--eb", "0.5", "--alpha", "0.5"):
             "2c53af802e9a1f43ee365d301a89903ec47711e41bb686de8c15d728197c6cd1",
         # alpha = 1/2 where the uncapped value rounds just above the cap
-        # and the maximizer's witness serves (0.9.0; re-recorded at 0.14.0,
-        # where the maximizer searches only [pi/2, gamma + pi/2])
+        # (0.9.0); since 0.15.0 the unit-weight |a_Y| grid finds the
+        # witness at |a_Y| = 0 there
         ("bound", "--eb", "3.1571837583107767e-34", "--alpha", "0.5"):
-            "0ada4d26bd226fd5bb31cf38a70a99db0ed9bc31fa9c048d14efa5299537a927",
+            "60186668505c4bbacb7e5ee77af1225efa4d10be9d94e4e15978bb119a364f6d",
         ("bound", "--eb", "2.2312818145724366e-308", "--alpha", "0.5"):
-            "d4084932bd5fe047b2bdb83b792e784b95ebd8c35079e80eeffebdab5b6266d5",
+            "03941bd7ffcb8892323b0451b7fed4f4acfac017030e0cd41198345baba6592e",
         ("claims",):
-            "acc78d0f98e38176a5f80a25bf9804b3216a67fdde3e701ee7255879eb54bf1d",
+            "f4e8f5aa2e1f8c649d76f6f9d9c395955ef42a281c6e4a20d56c2b4c23658230",
         ("simulate", "--N", "100000", "--seed", "7", "--attack",
          "0.9486832980505138,0,0,0,0,0,0,0.31622776601683794"):
             "d74c65556567155fdfeb6683bf010198e4ee38da5750fe5a5d207e6f272920f6",

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -138,21 +140,23 @@ class TestKeyRateDecoy:
         obs = DecoyObservables(Q_mu=0.01, E_mu=0.3, Q1=0.005, e1=0.6)
         assert key_rate_decoy(obs, GYS, "three-state") == -math.inf
 
-    def test_subnormal_e1_is_a_domain_error(self):
-        # the exact bound has no value there; that is not "no key"
+    def test_subnormal_e1_has_a_bound(self):
+        # the exact bound is defined at a subnormal e1 (about 5 e1 here),
+        # and the rate is that of e1 = 0 to the last bit
         obs = DecoyObservables(Q_mu=0.01, E_mu=0.03, Q1=0.005, e1=5e-324)
-        with pytest.raises(DomainError, match="overflows"):
-            key_rate_decoy(obs, GYS, "three-state")
+        assert 0.0 < phase_error_for(5e-324, "three-state") <= 5 * 5e-324
+        rate = key_rate_decoy(obs, GYS, "three-state")
+        assert rate == key_rate_decoy(replace(obs, e1=0.0), GYS, "three-state") > 0.0
         assert key_rate_decoy(obs, GYS, "bb84") > 0.0
 
-    def test_subnormal_e1_from_the_channel_reads_zero(self):
+    def test_subnormal_e1_from_the_channel(self):
         # e0 * y0 underflows below the smallest normal double: the model
-        # gives e1 = 0, where the bound has its limiting value, not an error
+        # gives a subnormal e1, whose bound rounds 1 - H2(e_p) to 1
         params = ChannelParams(
             fiber_loss_db_per_km=0.0, eta_bob=1.0, y0=1.7e-6, e_det=0.0,
             e0=2.225073858507203e-309,
         )
-        assert channel_observables(params, 0.0, 0.5).e1 == 0.0
+        assert 0.0 < channel_observables(params, 0.0, 0.5).e1 < sys.float_info.min
         for protocol in ("three-state", "bb84"):
             assert optimal_mu(params, 0.0, protocol) == (1.0, 0.36788006656649236)
             assert float_scan(params, 0.0, protocol) == (1.0, 0.36788006656649236)
@@ -357,6 +361,20 @@ class TestParamsFile:
         f = tmp_path / "bad.params"
         f.write_text("eta_bob 0.1\n")
         with pytest.raises(ValueError):
+            load_channel_params(f)
+
+    def test_repeated_key(self, tmp_path):
+        # the first value does not silently give way to the second
+        f = tmp_path / "bad.params"
+        f.write_text("eta_bob = 0.1\n# again\neta_bob = 0.2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}:3: .*'eta_bob' given twice"):
+            load_channel_params(f)
+
+    @pytest.mark.parametrize("value", ["", "0.1x", "1,5"])
+    def test_non_numeric_value(self, tmp_path, value):
+        f = tmp_path / "bad.params"
+        f.write_text(f"y0 = 2e-6\neta_bob = {value}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}:2: eta_bob = "):
             load_channel_params(f)
 
 

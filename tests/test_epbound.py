@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,12 @@ QKD3_ERRORS = tuple(
     for v in vars(qkd3.errors).values()
     if isinstance(v, type) and v.__module__ == "qkd3.errors"
 )
+
+
+def odds(e_b: float, alpha: float) -> SimpleNamespace:
+    """The odds ratios eb_hat = (1 - e_b)/e_b and alpha_hat of the oracles
+    below, which work in the paper's normalization |a_X|^2 + |a_Y|^2 = 1."""
+    return SimpleNamespace(eb_hat=(1.0 - e_b) / e_b, alpha_hat=(1.0 - alpha) / alpha)
 
 
 def az_branch(ay: float, hats) -> float | None:
@@ -77,7 +85,7 @@ class TestAzBranch:
     def test_hand_value_at_zero(self):
         # e_b = alpha = 0.25: hats are 3, inner radicand 11, so
         # |a_Z| = (sqrt(3) + sqrt(11)) / 4
-        h = _Angles(0.25, 0.25)
+        h = odds(0.25, 0.25)
         z = az_branch(0.0, h)
         assert z == pytest.approx((math.sqrt(3) + math.sqrt(11)) / 4, abs=1e-14)
         assert z * z < h.eb_hat
@@ -85,22 +93,20 @@ class TestAzBranch:
     def test_boundary_ay_one(self):
         # sqrt(1 - ay^2) terms vanish: |a_Z| = (ah + sqrt(eh*(1+ah) - ah))/(1+ah);
         # at e_b = alpha = 0.05 that is (19 + sqrt(361))/20 = 1.9 exactly
-        h = _Angles(0.05, 0.05)
+        h = odds(0.05, 0.05)
         assert az_branch(1.0, h) == pytest.approx(1.9, abs=1e-14)
 
     def test_guards(self):
         # inside the domain the radicand is (sqrt(ah*(1-y^2)) - y)^2
         # + (eh-1)*(1+ah) >= 0, so the guards only matter for hat values
         # below 1; exercise them through a stand-in
-        from types import SimpleNamespace
-
         assert az_branch(1.0, SimpleNamespace(eb_hat=0.2, alpha_hat=1.0)) is None
         assert (
             az_branch(0.9, SimpleNamespace(eb_hat=0.9, alpha_hat=9.0)) is None
         )
         for e_b in (0.01, 0.1, 0.5):
             for alpha in (0.01, 0.1, 0.5):
-                h = _Angles(e_b, alpha)
+                h = odds(e_b, alpha)
                 assert all(
                     az_branch(float(y), h) is not None
                     for y in np.linspace(0.0, 1.0, 101)
@@ -109,7 +115,7 @@ class TestAzBranch:
     @given(rate, rate, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=300)
     def test_feasible_points_solve_a_constraint_sign(self, e_b, alpha, ay):
-        h = _Angles(e_b, alpha)
+        h = odds(e_b, alpha)
         z = az_branch(ay, h)
         if z is None:
             return
@@ -127,7 +133,7 @@ class TestAzBranch:
         for e_b in np.linspace(0.02, 0.5, 13):
             h_alphas = np.linspace(0.02, 0.5, 13)
             for alpha in h_alphas:
-                h = _Angles(float(e_b), float(alpha))
+                h = odds(float(e_b), float(alpha))
                 for ay in np.linspace(0.0, 1.0, 101):
                     zp = az_branch(float(ay), h)
                     zm = az_branch_minus(float(ay), h)
@@ -253,9 +259,9 @@ class TestSoundnessNearBound:
     ):
         e_b, alpha = min(math.exp(log_eb), 0.5), 0.5 - math.exp(log_gap)
         a = _Angles(e_b, alpha)
-        v_star, h_max = a.maximize()
-        assume(e_b * h_max > 0.5)
-        self.assert_perturbed_within_bound(a.witness(v_star), log_eps, seed)
+        u_star, ep = a.maximize()
+        assume(ep > 0.5)
+        self.assert_perturbed_within_bound(a.witness(u_star), log_eps, seed)
 
 
 class TestSoundnessHillClimb:
@@ -358,7 +364,7 @@ class TestExactEp:
     )
     def test_at_least_dense_az_branch_grid_max(self, e_b, alpha):
         # the angle form against the |a_Y| form on a 20 001-point grid
-        h = _Angles(e_b, alpha)
+        h = odds(e_b, alpha)
         objective = [
             (z * z + y * y) * e_b
             for y in np.linspace(0.0, 1.0, 20_001).tolist()
@@ -379,24 +385,27 @@ def grid_h_max(e_b: float, alpha: float, n: int = 4001) -> float:
 
 
 class TestMaximizer:
-    """The root search on h' finds the global maximum of h.  The `epbound`
-    docstring proves that the maximum lies on [pi/2, gamma + pi/2] and is
-    the one sign change of h' there; the properties below test each step
-    of that proof, and the grid property tests its conclusion against a
-    dense grid in v over all of [gamma, gamma + pi/2], with one case per
-    branch of `maximize`."""
+    """The root search on e_p' finds the global maximum of e_p.  The
+    `epbound` docstring proves that the maximum lies on [pi/2, gamma +
+    pi/2] and is the one sign change of e_p' there; the properties below
+    test each step of that proof, and the grid property tests its
+    conclusion against a dense grid in v over all of [gamma, gamma +
+    pi/2], with one case per branch of `maximize`.  `_Angles` takes the
+    angle as u = v - pi/2, so v = gamma is u = gamma - pi/2 and v = pi/2
+    is u = 0."""
 
     log_rate = st.floats(min_value=-15.0, max_value=LOG_HALF).map(lambda x: 10.0**x)
     edge_rate = st.sampled_from([0.5, 0.25, 1e-15])
     proof_rate = st.one_of(
-        log_rate, st.sampled_from([0.5, math.nextafter(0.5, 0.0), 0.25, 1e-15])
+        log_rate,
+        st.sampled_from([0.5, math.nextafter(0.5, 0.0), 0.25, 1e-15, 1e-310, 5e-324]),
     )
     unit = st.floats(min_value=0.0, max_value=1.0)
 
     @staticmethod
     def angles(e_b, alpha):
         a = _Angles(e_b, alpha)
-        return a, a.gamma, a.gamma + 0.5 * math.pi
+        return a, a.gamma - 0.5 * math.pi, a.gamma
 
     @given(st.one_of(log_rate, edge_rate), st.one_of(log_rate, edge_rate))
     @settings(max_examples=400, deadline=None)
@@ -407,40 +416,32 @@ class TestMaximizer:
     @given(proof_rate, proof_rate, unit)
     @settings(max_examples=400, deadline=None)
     def test_left_branch_below_its_end(self, e_b, alpha, t):
-        # h(v) <= h(pi/2) on [gamma, pi/2], so the search may start at pi/2;
-        # e_b = 1/2 takes the closed form, and at alpha = 1/2 too h is flat
-        # on this branch, where rounding alone decides
+        # e_p(v) <= e_p(pi/2) on [gamma, pi/2], so the search may start at
+        # pi/2; e_b = 1/2 takes the closed form, and at alpha = 1/2 too e_p
+        # is flat on this branch, where rounding alone decides
         assume(e_b < 0.5)
         a, lo, _ = self.angles(e_b, alpha)
-        mid = 0.5 * math.pi
-        h_mid = a.h(mid)
-        assert a.h(lo + t * (mid - lo)) <= h_mid * (1.0 + 1e-14)
-        assert h_mid <= a.maximize()[1] * (1.0 + 1e-14)
+        ep_mid = a.ep(0.0)
+        assert a.ep(lo - t * lo) <= ep_mid * (1.0 + 1e-14)
+        assert ep_mid <= a.maximize()[1] * (1.0 + 1e-14)
 
     @given(proof_rate, proof_rate, unit, unit)
     @settings(max_examples=400, deadline=None)
     def test_right_branch_concave_in_sigma(self, e_b, alpha, t1, t2):
-        # h on [pi/2, gamma + pi/2] is concave in sigma = sin(v)^2, so it has
-        # one maximum there.  The midpoint is taken in 1 - sigma = cos(v)^2,
-        # which resolves v near pi/2.  h carries a rounding error of a few
-        # ulps plus about eps sin(2 gamma) / 2R, R = sqrt(eb_hat - sin(v)^2),
-        # which cancels near v = pi/2 when e_b is near 1/2
+        # e_p on [pi/2, gamma + pi/2] is concave in sigma = sin(v)^2, so it
+        # has one maximum there.  The midpoint is taken in 1 - sigma =
+        # cos(v)^2 = sin(u)^2, which resolves v near pi/2
         a = _Angles(e_b, alpha)
-        mid = 0.5 * math.pi
-        v1, v2 = mid + t1 * a.gamma, mid + t2 * a.gamma
-        u = 0.5 * (math.cos(v1) ** 2 + math.cos(v2) ** 2)
-        vs = (v1, v2, mid + math.asin(math.sqrt(u)))
-        h1, h2, h_mid = (a.h(v) for v in vs)
-        r = min(math.sqrt(a.eb_hat - math.sin(v) ** 2) for v in vs)
-        cancel = a.sin_g * a.cos_g / r if r > 0.0 else math.inf
-        tol = 4.0 * EPS * (max(h1, h2) + cancel)
-        assert h_mid >= 0.5 * (h1 + h2) - tol
+        u1, u2 = t1 * a.gamma, t2 * a.gamma
+        mid = math.asin(math.sqrt(0.5 * (math.sin(u1) ** 2 + math.sin(u2) ** 2)))
+        ep1, ep2, ep_mid = (a.ep(u) for u in (u1, u2, mid))
+        assert ep_mid >= 0.5 * (ep1 + ep2) - 4.0 * EPS * max(ep1, ep2)
 
     @given(proof_rate, proof_rate)
     @settings(max_examples=400, deadline=None)
     def test_uncapped_witness_within_alpha(self, e_b, alpha):
-        # the maximizer v >= pi/2 gives |a_X| = cos(v - gamma) <= sin(gamma),
-        # and sin(gamma)^2 = alpha at unit weight |a_X|^2 + |a_Y|^2
+        # the maximizer v >= pi/2 gives |a_X| <= sin(gamma) at |a_X|^2 +
+        # |a_Y|^2 = 1, and sin(gamma)^2 = alpha
         res = exact_bound(e_b, alpha)
         assume(res.ep_uncapped <= 0.5)
         x2, y2 = abs(res.witness.a_X) ** 2, abs(res.witness.a_Y) ** 2
@@ -449,43 +450,47 @@ class TestMaximizer:
     def test_interior_root(self):
         a, lo, hi = self.angles(0.05, 0.05)
         assert a.slope(lo) > 0.0 > a.slope(hi)
-        v, h = a.maximize()
-        assert lo < v < hi
-        assert a.slope(v - 1e-9) > 0.0 > a.slope(v + 1e-9)
-        assert 0.05 * h >= grid_h_max(0.05, 0.05)
+        u, ep = a.maximize()
+        assert 0.0 < u < hi
+        assert a.slope(u - 1e-9) > 0.0 > a.slope(u + 1e-9)
+        assert ep >= grid_h_max(0.05, 0.05)
 
     def test_endpoint_maximum(self):
-        # at e_b = 1/2, h peaks at the endpoint gamma + pi/2 with h = 2,
-        # returned in closed form; just below 1/2, h'(gamma + pi/2) is 0 up
-        # to rounding, and where the rounded h' there is >= 0 no bracket
-        # exists and maximize returns the endpoint itself
+        # at e_b = 1/2, e_p peaks at the endpoint gamma + pi/2 with e_p = 1,
+        # returned in closed form; just below 1/2, e_p'(gamma + pi/2) is 0
+        # up to rounding, and where the rounded e_p' there is >= 0 no
+        # bracket exists and maximize returns the endpoint itself
         below_half = math.nextafter(0.5, 0.0)
         endpoint_branch = 0
         for alpha in np.linspace(0.01, 0.5, 20).tolist():
             a, lo, hi = self.angles(0.5, alpha)
-            assert a.maximize() == (hi, 2.0)
-            assert a.h(hi) == pytest.approx(2.0, rel=1e-15)
+            assert a.maximize() == (hi, 1.0)
+            assert a.ep(hi) == pytest.approx(1.0, rel=1e-15)
             a, lo, hi = self.angles(below_half, alpha)
-            v, h = a.maximize()
-            assert h == pytest.approx(2.0, rel=1e-15)
-            assert v == pytest.approx(hi, abs=1e-7)
+            u, ep = a.maximize()
+            assert ep == pytest.approx(1.0, rel=1e-15)
+            assert u == pytest.approx(hi, abs=1e-7)
             if a.slope(hi) >= 0.0:
                 endpoint_branch += 1
-                assert (v, h) == (hi, a.h(hi))
+                assert (u, ep) == (hi, a.ep(hi))
         assert endpoint_branch > 0
 
     def test_kink_at_half(self):
-        # at e_b = 1/2, R = sqrt(eb_hat - sin(v)^2) is 0 at v = pi/2, where h
-        # has a kink; the search function stays finite there, and a bracket
-        # ending just left of the kink converges to it
+        # at e_b = 1/2, rho = sqrt(1 - 2 e_b + e_b cos(v)^2) is 0 at v = pi/2
+        # (u = 0), where e_p has a kink; the search function stays finite
+        # there and keeps the sign of e_p' on both sides.  Left of the kink
+        # e_p = alpha + cos(u)^2 cos(2 gamma), so rho e_p' / (2 p) = sin(u)^2
+        # cos(u) cos(2 gamma) > 0, computed without cancellation; e_p rises
+        # on to its maximum 1 at v = gamma + pi/2, taken in closed form
         a, lo, hi = self.angles(0.5, 0.25)
-        assert a.eb_hat - math.sin(0.5 * math.pi) ** 2 == 0.0
-        assert math.isfinite(a.slope(0.5 * math.pi))
-        b = 0.5 * math.pi - 1e-9
-        assert a.slope(lo) > 0.0 > a.slope(b)
-        v = _illinois_root(a.slope, lo, a.slope(lo), b, a.slope(b), 1e-12)
-        assert abs(v - 0.5 * math.pi) < 1e-7
-        assert a.h(v) == pytest.approx(2.0 * math.cos(a.gamma) ** 2, rel=1e-8)
+        assert a.q + a.e_b * math.sin(0.0) ** 2 == 0.0
+        assert a.slope(0.0) == 0.0
+        for u in (-1e-6, -1e-3, -0.5):
+            assert a.ep(u) == pytest.approx(0.25 + 0.5 * math.cos(u) ** 2, rel=1e-15)
+            want = 0.5 * math.sin(u) ** 2 * math.cos(u)
+            assert a.slope(u) == pytest.approx(want, rel=1e-6)
+        assert a.slope(-1e-9) > 0.0 and a.slope(1e-9) > 0.0
+        assert a.ep(0.0) == pytest.approx(math.cos(a.gamma) ** 2, rel=1e-15)
         for alpha in (0.5, 0.25, 1e-3, 1e-15):
             assert exact_ep(0.5, alpha, capped=False) == 1.0
 
@@ -552,59 +557,61 @@ class TestWitness:
         r = rates_from_ensemble([res.witness])
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, 0.5), rel=1e-12)
 
-    normal_rate = st.one_of(log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308]))
+    any_rate = st.one_of(
+        log_rate, st.sampled_from([0.5, 0.25, 1e-15, 2.3e-308, 1e-310, 5e-324])
+    )
 
-    @given(normal_rate, normal_rate)
+    @given(any_rate, any_rate)
     @settings(max_examples=400, deadline=None)
     def test_crossing_needs_only_the_lower_endpoint(self, e_b, alpha):
-        # h(gamma + pi/2) >= h(gamma) + 1: the upper endpoint is above the
-        # cap whenever the lower one is, so `crossing` never searches from it
+        # e_p(gamma + pi/2) >= e_p(gamma) + e_b: the upper endpoint is above
+        # the cap whenever the lower one is, so `crossing` never searches
+        # from it
         a = _Angles(e_b, alpha)
-        h_lo, h_hi = a.h(a.gamma), a.h(a.gamma + 0.5 * math.pi)
-        assert h_hi >= (h_lo + 1.0) * (1.0 - 1e-15)
+        ep_lo, ep_hi = a.ep(a.gamma - 0.5 * math.pi), a.ep(a.gamma)
+        assert ep_hi >= (ep_lo + e_b) * (1.0 - 1e-15)
 
     # exact_ep (capped, uncapped) and exact_bound's (ep_max, ep_uncapped,
-    # ay_star, method, witness), recorded from the root search on h'
-    # (0.4.0); the two aligned-crossing witnesses from its Illinois search
-    # (0.5.0); the |a_Y|-grid witnesses (0.3, 0.3) and (1e-15, 0.5) from the
-    # half-angle `_element` (0.12.0); the uncapped value of (0.3, 0.3) and
-    # the crossing witness of (0.2407, 6.9e-4) from the search on
-    # [pi/2, gamma + pi/2] (0.14.0)
+    # ay_star, method, witness), recorded from the unit-weight angle form
+    # (0.15.0): its root search on e_p' for the values and the aligned
+    # witnesses, the Illinois crossing for (0.2407, 6.9e-4) and (0.3,
+    # 1e-8), and the |a_Y| grid with the half-angle `_element` for (0.3,
+    # 0.3) and (1e-15, 0.5)
     PINNED = {
         (0.05, 0.05): (
             "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
             "0x1.dde5b0509b108p-3", "0x1.dde5b0509b108p-3",
-            "0x1.faa4592d86a0bp-1", "exact",
-            "3.913082508158519,0.0,0.14429216764309122,0.0,"
-            "0.9895351284097286,0.0,0.0,1.9203607172465877",
+            "0x1.faa4592d86c95p-1", "exact",
+            "3.913082508158538,0.0,0.14429216764259656,0.0,"
+            "0.9895351284098007,0.0,0.0,1.9203607172465507",
         ),
         (0.3, 0.3): (
-            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce6p-1",
-            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce6p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce4p-1",
+            "0x1.0000000000000p-1", "0x1.d2b3aa9740ce4p-1",
             "0x1.8f5c28f5c28f6p-4", "exact",
-            "0.8222316002930462,0.010397699082154821,0.9952355248884557,0.0,"
-            "0.0975,0.0,0.027209502216650156,1.2870198365432404",
+            "0.822231600293046,0.010397699082190109,0.9952355248884556,0.0,"
+            "0.0975,0.0,0.027209502216704012,1.2870198365432393",
         ),
         (0.2407, 6.9e-4): (
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
             "0x1.0000000000000p-1", "0x1.00083bc85da6dp-1",
-            "0x1.ffd83d90137a3p-1", "exact",
-            "1.441064892912931,0.0,0.024629050286980526,0.0,"
-            "0.9996966589330792,0.0,0.0,1.038210578747026",
+            "0x1.ffd83d90137a7p-1", "exact",
+            "1.441064892912931,0.0,0.02462905028696828,0.0,"
+            "0.9996966589330797,0.0,0.0,1.0382105787470257",
         ),
         (0.3, 1e-8): (
-            "0x1.0000000000000p-1", "0x1.333c47e7071adp-1",
-            "0x1.0000000000000p-1", "0x1.333c47e7071adp-1",
-            "0x1.d3591d7bb1e09p-1", "exact",
-            "1.2246840072823995,0.0,0.408430837441777,0.0,"
-            "0.9127892697806043,0.0,0.0,0.9129525812658933",
+            "0x1.0000000000000p-1", "0x1.333c47e7071acp-1",
+            "0x1.0000000000000p-1", "0x1.333c47e7071acp-1",
+            "0x1.d3591d7bb1e0ap-1", "exact",
+            "1.224684007282399,0.0,0.40843083744177655,0.0,"
+            "0.9127892697806044,0.0,0.0,0.9129525812658935",
         ),
         (1e-15, 0.5): (
-            "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
-            "0x1.0000000000000p-1", "0x1.0000010fa3389p-1",
+            "0x1.0000000000000p-1", "0x1.0000010fa338bp-1",
+            "0x1.0000000000000p-1", "0x1.0000010fa338bp-1",
             "0x0.0p+0", "exact",
-            "-0.0687521250413688,22360679.774997875,1.0,0.0,"
-            "0.0,0.0,22360679.774997894,0.0",
+            "0.0874978744893832,22360679.774997875,1.0,0.0,"
+            "0.0,0.0,22360679.7749979,0.0",
         ),
     }
 
@@ -624,8 +631,8 @@ class TestWitness:
 
 
 class TestTinyRates:
-    """Rates down to the smallest normal double get a bound and a witness;
-    a subnormal rate makes its odds ratio overflow, a DomainError."""
+    """Every rate down to the smallest subnormal double gets a bound and a
+    witness that reproduces it."""
 
     @pytest.mark.parametrize("point", [(1e-300, 1e-300), (1e-160, 1e-160)], ids=str)
     def test_witness_round_trip(self, point):
@@ -637,24 +644,47 @@ class TestTinyRates:
             (*point, res.ep_max), rel=1e-9
         )
 
-    @pytest.mark.parametrize("point", [(5e-324, 0.5), (0.3, 5e-324)], ids=str)
-    def test_domain_error(self, point):
-        with pytest.raises(DomainError, match="overflows"):
-            exact_ep(*point)
-        with pytest.raises(DomainError, match="overflows"):
-            exact_ep(*point, capped=False)
-        with pytest.raises(DomainError, match="overflows"):
-            exact_bound(*point)
+    # (capped, uncapped) exact bound: e_p = alpha + 2 e_b + O(sqrt(e_b
+    # alpha)) at tiny rates, so 2 e_b at a subnormal alpha and alpha at a
+    # subnormal e_b; 5e-310 is 5 e_b on the diagonal, to the spacing 5e-324
+    # of the subnormal doubles
+    SUBNORMAL = {
+        (5e-324, 0.5): (0.5, 0.5000000000000001),
+        (0.3, 5e-324): (0.5, 0.6),
+        (5e-324, 0.1): (0.1, 0.1),
+        (1e-310, 1e-310): (5e-310, 5e-310),
+    }
+
+    @pytest.mark.parametrize("point", list(SUBNORMAL), ids=str)
+    def test_subnormal_rate_values(self, point):
+        capped, uncapped = self.SUBNORMAL[point]
+        assert exact_ep(*point) == capped
+        assert exact_ep(*point, capped=False) == pytest.approx(uncapped, rel=1e-15)
+        res = exact_bound(*point)
+        assert (res.ep_max, res.ep_uncapped) == (capped, exact_ep(*point, capped=False))
+        r = rates_from_ensemble([res.witness])
+        assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, capped), abs=1e-9)
+        self.assert_witness_weight(point[0], res.witness)
+
+    @staticmethod
+    def assert_witness_weight(e_b, witness):
+        # below e_b = 2**-1021 the witness weight 1/e_b would make 4x the
+        # weight overflow; the amplitudes are then scaled by 2**k, k = (1020
+        # + frexp(e_b)[1]) // 2, to weight 2**(2k) / e_b <= 2**1021 (2**1020
+        # at the smallest normal e_b and at 5e-324)
+        k = min(0, (1020 + math.frexp(e_b)[1]) // 2)
+        weight = witness.total_weight
+        assert weight == pytest.approx(2.0 ** (2 * k) / e_b, rel=1e-12)
+        assert weight <= 2.0**1021
 
     @pytest.mark.parametrize(
         "point", [(2.2250738585072014e-308, 0.5), (2.2250738585072014e-308, 1e-300)], ids=str
     )
     def test_smallest_normal_eb_witness(self, point):
-        # eb_hat = 2**1022: the unhalved witness would weigh 2**1022, and
-        # 4x that overflows; the halved one reproduces the rates
         res = exact_bound(*point)
         assert res.ep_max == exact_ep(*point) > 0.0
         assert res.witness.total_weight == pytest.approx(2.0**1020, rel=1e-12)
+        self.assert_witness_weight(point[0], res.witness)
         r = rates_from_ensemble([res.witness])
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((*point, res.ep_max), rel=1e-9)
 
@@ -662,16 +692,16 @@ class TestTinyRates:
         "e_b", [3.1571837583107767e-34, 2.2312818145724366e-308], ids=str
     )
     def test_alpha_half_rounding_over_cap(self, e_b):
-        # e_b * h rounds above 1/2 from gamma to the maximizer, so neither
-        # the |a_Y| grid nor the crossing finds an attack; the maximizer's
-        # own witness reproduces (e_b, 1/2, 1/2)
+        # e_p rounds above 1/2 from gamma to the maximizer, so the crossing
+        # has no bracket; the |a_Y| grid finds the attack at |a_Y| = 0
         res = exact_bound(e_b, 0.5)
         assert res.ep_max == exact_ep(e_b, 0.5) == 0.5 < res.ep_uncapped
+        assert res.ay_star == 0.0
         r = rates_from_ensemble([res.witness])
         assert (r.e_b, r.alpha, r.e_p) == pytest.approx((e_b, 0.5, 0.5), rel=1e-9)
 
     def test_smallest_bounded_product(self):
-        # e_b * alpha = 1e-308 still has finite odds ratios
+        # e_b * alpha = 1e-308, at the bottom of the normal doubles
         assert exact_ep(1e-154, 1e-154) == pytest.approx(5e-154, rel=1e-12)
 
     @pytest.mark.parametrize("point", [(1e-300, 1e-300), (1e-160, 1e-160)], ids=str)
@@ -682,6 +712,45 @@ class TestTinyRates:
         for closed in (approx_bound(*point), simple_bound(*point)):
             assert closed == pytest.approx(5.0 * point[0], rel=1e-12)
             assert closed >= ep * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("point", [(5e-324, 1e-310), (1e-310, 5e-324)], ids=str)
+    def test_simple_bound_keeps_its_root_at_subnormal_products(self, point):
+        # e_b * alpha * 2**1000 underflows here, so the root term must come
+        # from sqrt(e_b) * sqrt(alpha): the true value is 1.00000044e-310
+        # or 2.00000044e-310, not alpha + 2 e_b
+        e_b, alpha = (Decimal(x) for x in point)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = float(alpha + 2 * e_b + 2 * (e_b * alpha).sqrt())
+        assert math.isclose(simple_bound(*point), want, rel_tol=1e-15, abs_tol=0.0)
+
+
+EDGE_RATES = [
+    0.0, 5e-324, 1e-310, 2.0**-1022, 1e-300, 1e-160, 1e-30, 1e-15,
+    0.25, math.nextafter(0.25, 1.0), math.nextafter(0.5, 0.0), 0.5,
+]
+SUBNORMAL_ULP = 5e-324
+
+
+@pytest.mark.parametrize("alpha", EDGE_RATES, ids=repr)
+@pytest.mark.parametrize("e_b", EDGE_RATES, ids=repr)
+def test_whole_domain_edges(e_b, alpha):
+    # every pair of edge rates, subnormal ones included, gets a finite
+    # bound, a witness that reproduces it, and the ordering exact <= approx
+    # <= simple up to rounding (a few spacings of the subnormal doubles)
+    ep = exact_ep(e_b, alpha)
+    res = exact_bound(e_b, alpha)
+    assert math.isfinite(ep) and math.isfinite(res.ep_uncapped)
+    assert ep == res.ep_max
+    r = rates_from_ensemble([res.witness])
+    assert abs(r.e_b - e_b) <= 1e-9
+    assert abs(r.alpha - alpha) <= 1e-9
+    assert abs(r.e_p - ep) <= 1e-9
+    ex = exact_ep(e_b, alpha, capped=False)
+    ap = approx_bound(e_b, alpha, capped=False)
+    sb = simple_bound(e_b, alpha)
+    assert ex <= ap * (1.0 + 1e-12) + 4 * SUBNORMAL_ULP
+    assert ap <= sb * (1.0 + 1e-12) + 4 * SUBNORMAL_ULP
 
 
 class TestApproxBound:
